@@ -35,7 +35,7 @@ double
 steadyMs(const df::Graph &g, const core::RuntimeConfig &cfg,
          df::MemoryPolicy &policy)
 {
-    mem::HeterogeneousMemory hm(cfg.fast, cfg.slow, cfg.migration);
+    mem::HeterogeneousMemory hm(cfg.tierChain(), cfg.linkChain());
     df::Executor ex(g, hm, cfg.exec, policy);
     return toMillis(ex.run(9).back().step_time);
 }
@@ -47,7 +47,7 @@ runPlatform(const df::Graph &g, core::RuntimeConfig cfg,
     Row r;
     cfg.fast.capacity = fast20;
 
-    mem::HeterogeneousMemory prof_hm(cfg.fast, cfg.slow, cfg.migration);
+    mem::HeterogeneousMemory prof_hm(cfg.tierChain(), cfg.linkChain());
     prof::Profiler profiler(cfg.profiler);
     auto profile = profiler.profile(g, prof_hm, cfg.exec);
 

@@ -34,7 +34,7 @@ TraceResult
 traceOnePolicy(const df::Graph &graph, const core::RuntimeConfig &cfg,
                df::MemoryPolicy &policy, Tick bucket)
 {
-    mem::HeterogeneousMemory hm(cfg.fast, cfg.slow, cfg.migration);
+    mem::HeterogeneousMemory hm(cfg.tierChain(), cfg.linkChain());
     df::Executor ex(graph, hm, cfg.exec, policy);
     ex.run(6); // reach steady state
 
@@ -71,7 +71,7 @@ main(int argc, char **argv)
         mem::roundUpToPages(graph.peakMemoryBytes() / 5);
     auto cfg = core::RuntimeConfig::optane(fast);
 
-    mem::HeterogeneousMemory prof_hm(cfg.fast, cfg.slow, cfg.migration);
+    mem::HeterogeneousMemory prof_hm(cfg.tierChain(), cfg.linkChain());
     prof::Profiler profiler(cfg.profiler);
     auto profile = profiler.profile(graph, prof_hm, cfg.exec);
 
@@ -117,7 +117,7 @@ main(int argc, char **argv)
         telemetry::Session session;
         core::SentinelPolicy traced(profile.db);
         traced.setTelemetry(&session);
-        mem::HeterogeneousMemory hm(cfg.fast, cfg.slow, cfg.migration);
+        mem::HeterogeneousMemory hm(cfg.tierChain(), cfg.linkChain());
         hm.setTelemetry(&session);
         df::Executor ex(graph, hm, cfg.exec, traced);
         ex.setTelemetry(&session);

@@ -29,7 +29,7 @@ makeHm(std::uint64_t fast_bytes)
 {
     mem::TierParams fast{ "dram", fast_bytes, 76e9, 50e9, 85, 90 };
     mem::TierParams slow{ "pmm", 64ull << 30, 30e9, 10e9, 300, 120 };
-    return mem::HeterogeneousMemory(fast, slow, { 8e9, 6e9, 2000 });
+    return mem::HeterogeneousMemory({ fast, slow }, { { 8e9, 6e9, 2000 } });
 }
 
 void
@@ -85,9 +85,9 @@ BENCHMARK(BM_MigrateBatch)->Arg(64)->Arg(1024);
 // Raw page-table throughput on the extent hot path: bulk-map and
 // bulk-unmap a 64 MB (16384-page) extent per iteration.
 void
-BM_PageTableDenseMapUnmap(benchmark::State &state)
+BM_PageTableMapUnmap(benchmark::State &state)
 {
-    mem::PageTable pt(mem::PageTable::Backend::Dense);
+    mem::PageTable pt;
     const std::uint64_t npages = 16384;
     for (auto _ : state) {
         pt.mapRange(0, npages, mem::Tier::Fast);
@@ -96,7 +96,7 @@ BM_PageTableDenseMapUnmap(benchmark::State &state)
     state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                             static_cast<std::int64_t>(2 * npages));
 }
-BENCHMARK(BM_PageTableDenseMapUnmap);
+BENCHMARK(BM_PageTableMapUnmap);
 
 void
 BM_GraphBuildResnet32(benchmark::State &state)
@@ -226,19 +226,15 @@ BM_SentinelSteadyStep(benchmark::State &state)
 BENCHMARK(BM_SentinelSteadyStep);
 
 /**
- * Calendar vs binary-heap event queue, schedule + drain of a mixed
- * workload: mostly near-future events with same-tick collisions (the
- * migration engine's arrival pattern) plus a sprinkle of far-future
- * ones.  Arg 0 selects the backend.
+ * Event-queue schedule + drain of a mixed workload: mostly near-future
+ * events with same-tick collisions (the migration engine's arrival
+ * pattern) plus a sprinkle of far-future ones.
  */
 void
-BM_EventQueueCalendarVsHeap(benchmark::State &state)
+BM_EventQueueScheduleDrain(benchmark::State &state)
 {
-    auto backend = state.range(0) == 0
-                       ? sim::EventQueue::Backend::Calendar
-                       : sim::EventQueue::Backend::Heap;
     constexpr int kEvents = 4096;
-    sim::EventQueue eq(backend);
+    sim::EventQueue eq;
     std::uint64_t rng = 0x9e3779b97f4a7c15ull;
     auto next = [&rng] {
         rng ^= rng << 13;
@@ -267,7 +263,7 @@ BM_EventQueueCalendarVsHeap(benchmark::State &state)
     benchmark::DoNotOptimize(sink);
     state.SetItemsProcessed(state.iterations() * kEvents);
 }
-BENCHMARK(BM_EventQueueCalendarVsHeap)->Arg(0)->Arg(1);
+BENCHMARK(BM_EventQueueScheduleDrain);
 
 } // namespace
 

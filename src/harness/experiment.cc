@@ -1,5 +1,6 @@
 #include "harness/experiment.hh"
 
+#include <cmath>
 #include <memory>
 #include <optional>
 
@@ -39,6 +40,34 @@ platformConfig(Platform p, std::uint64_t fast_bytes, int tiers,
     else if (tiers >= 3)
         rc.insertMidTiers(tiers - 2, mid_bytes, mid_bw);
     return rc;
+}
+
+std::uint64_t
+fastTierBytes(const ExperimentConfig &cfg, std::uint64_t peak_bytes)
+{
+    if (cfg.fast_bytes != 0)
+        return cfg.fast_bytes;
+    // Written so NaN fails too: it is cast to an integer below.
+    if (!(std::isfinite(cfg.fast_fraction) && cfg.fast_fraction > 0.0))
+        throw ConfigError(strprintf(
+            "config: fast_fraction must be finite and positive (got %g)",
+            cfg.fast_fraction));
+    return mem::roundUpToPages(static_cast<std::uint64_t>(
+        static_cast<double>(peak_bytes) * cfg.fast_fraction));
+}
+
+core::SentinelOptions
+sentinelOptions(const ExperimentConfig &cfg)
+{
+    if (cfg.planner != "greedy" && cfg.planner != "interval")
+        throw ConfigError(strprintf(
+            "config: planner must be 'greedy' or 'interval' (got '%s')",
+            cfg.planner.c_str()));
+    core::SentinelOptions opts = cfg.sentinel;
+    opts.gpu_mode = cfg.platform == Platform::Gpu;
+    if (cfg.planner == "interval")
+        opts.layout_planner = core::LayoutPlanner::Interval;
+    return opts;
 }
 
 const std::vector<std::string> &
@@ -96,13 +125,9 @@ makePolicy(const std::string &name, const ExperimentConfig &cfg,
         return std::make_unique<baselines::SwapAdvisorPolicy>(*db, gpu);
     if (name == "capuchin")
         return std::make_unique<baselines::CapuchinPolicy>(*db, gpu);
-    if (name == "sentinel") {
-        core::SentinelOptions opts = cfg.sentinel;
-        opts.gpu_mode = gpu;
-        if (cfg.planner == "interval")
-            opts.layout_planner = core::LayoutPlanner::Interval;
-        return std::make_unique<core::SentinelPolicy>(*db, opts);
-    }
+    if (name == "sentinel")
+        return std::make_unique<core::SentinelPolicy>(*db,
+                                                      sentinelOptions(cfg));
     SENTINEL_FATAL("unknown policy '%s'", name.c_str());
 }
 
@@ -135,25 +160,22 @@ runExperimentSteps(const ExperimentConfig &cfg, const std::string &policy)
         throw ConfigError(strprintf(
             "config: warmup must lie in [0, steps) (warmup %d, steps %d)",
             cfg.warmup, cfg.steps));
-    if (cfg.fast_bytes == 0 && cfg.fast_fraction <= 0.0)
-        throw ConfigError(strprintf(
-            "config: fast_fraction must be positive (got %g)",
-            cfg.fast_fraction));
-    if (cfg.planner != "greedy" && cfg.planner != "interval")
-        throw ConfigError(strprintf(
-            "config: planner must be 'greedy' or 'interval' (got '%s')",
-            cfg.planner.c_str()));
+    // Validates cfg.planner for every policy, not only sentinel.
+    sentinelOptions(cfg);
     if (cfg.tiers < 1 || cfg.tiers > static_cast<int>(mem::kMaxTiers))
         throw ConfigError(strprintf(
             "config: tiers must lie in [1, %u] (got %d)", mem::kMaxTiers,
             cfg.tiers));
-    if (cfg.tiers >= 3 && cfg.mid_bytes == 0 && cfg.mid_fraction <= 0.0)
+    // The range checks below are written so NaN fails them too.
+    if (cfg.tiers >= 3 && cfg.mid_bytes == 0 &&
+        !(std::isfinite(cfg.mid_fraction) && cfg.mid_fraction > 0.0))
         throw ConfigError(strprintf(
-            "config: mid_fraction must be positive (got %g)",
+            "config: mid_fraction must be finite and positive (got %g)",
             cfg.mid_fraction));
-    if (cfg.mid_bw < 0.0)
+    if (!(std::isfinite(cfg.mid_bw) && cfg.mid_bw >= 0.0))
         throw ConfigError(strprintf(
-            "config: mid_bw must be non-negative (got %g)", cfg.mid_bw));
+            "config: mid_bw must be finite and non-negative (got %g)",
+            cfg.mid_bw));
 
     // A bad model name (unknown, or a malformed synthetic:<seed> spec)
     // is a rejected input, not an infeasible run: surface it as
@@ -168,11 +190,7 @@ runExperimentSteps(const ExperimentConfig &cfg, const std::string &policy)
     }();
 
     std::uint64_t peak = graph.peakMemoryBytes();
-    std::uint64_t fast_bytes =
-        cfg.fast_bytes != 0
-            ? cfg.fast_bytes
-            : mem::roundUpToPages(static_cast<std::uint64_t>(
-                  static_cast<double>(peak) * cfg.fast_fraction));
+    std::uint64_t fast_bytes = fastTierBytes(cfg, peak);
     // The fast-only reference gets a fast tier that holds everything.
     if (policy == "fast-only" && cfg.fast_bytes == 0)
         fast_bytes = mem::roundUpToPages(peak + (peak >> 2) +
@@ -186,7 +204,7 @@ runExperimentSteps(const ExperimentConfig &cfg, const std::string &policy)
             static_cast<unsigned long long>(mem::kPageSize)));
     if (policy == "sentinel" && cfg.sentinel.use_reserved_pool) {
         double frac = cfg.sentinel.rs_cap_fraction;
-        if (frac <= 0.0 || frac > 1.0)
+        if (!(frac > 0.0 && frac <= 1.0))
             throw ConfigError(strprintf(
                 "config: sentinel.rs_cap_fraction must lie in (0, 1] "
                 "(got %g)",
@@ -236,8 +254,7 @@ runExperimentSteps(const ExperimentConfig &cfg, const std::string &policy)
     // Profiling phase (one step on a scratch memory system).
     std::optional<prof::ProfileResult> profile;
     if (needsProfile(policy)) {
-        mem::HeterogeneousMemory prof_hm(rc.tierChain(), rc.linkChain(),
-                                         cfg.page_table);
+        mem::HeterogeneousMemory prof_hm(rc.tierChain(), rc.linkChain());
         prof::Profiler profiler(rc.profiler);
         profile = profiler.profile(graph, prof_hm, rc.exec);
     }
@@ -245,8 +262,7 @@ runExperimentSteps(const ExperimentConfig &cfg, const std::string &policy)
     auto pol = makePolicy(policy, cfg, fast_bytes,
                           profile ? &profile->db : nullptr);
 
-    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain(),
-                                cfg.page_table);
+    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
     df::Executor ex(graph, hm, rc.exec, *pol);
     if (cfg.telemetry) {
         hm.setTelemetry(cfg.telemetry);

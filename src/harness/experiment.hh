@@ -82,10 +82,6 @@ struct ExperimentConfig {
      *  0 interpolates between the fast and slow endpoints. */
     double mid_bw = 0.0;
 
-    /** Page-table backend for both the profiling and training memory
-     *  systems; non-default only in the layout equivalence suite. */
-    mem::PageTable::Backend page_table = mem::PageTable::defaultBackend();
-
     int steps = 9;
     int warmup = 6; ///< steps excluded from the averages (cold start
                     ///< plus Sentinel's test-and-trial steps)
@@ -195,6 +191,20 @@ core::RuntimeConfig platformConfig(Platform p, std::uint64_t fast_bytes);
 core::RuntimeConfig platformConfig(Platform p, std::uint64_t fast_bytes,
                                    int tiers, std::uint64_t mid_bytes,
                                    double mid_bw);
+
+/**
+ * Fast-tier size of @p cfg for a model whose peak memory is
+ * @p peak_bytes: cfg.fast_bytes when set, else cfg.fast_fraction of
+ * the peak rounded up to whole pages.  Throws ConfigError when the
+ * fraction is needed and is not a finite positive number.
+ */
+std::uint64_t fastTierBytes(const ExperimentConfig &cfg,
+                            std::uint64_t peak_bytes);
+
+/** Sentinel's options for @p cfg: cfg.sentinel with gpu_mode set from
+ *  the platform and layout_planner from cfg.planner.  Throws
+ *  ConfigError for a planner other than "greedy" or "interval". */
+core::SentinelOptions sentinelOptions(const ExperimentConfig &cfg);
 
 /** All CPU-platform policy names, in the paper's comparison order. */
 const std::vector<std::string> &cpuPolicies();

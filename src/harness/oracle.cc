@@ -315,16 +315,12 @@ runOracle(const ExperimentConfig &base, const OracleOptions &opts)
     // Preconditions first (mirrors runExperimentSteps): the fuzzer
     // needs a rejected input to fail *here*, before any cell runs.
     if (work.batch <= 0 || work.steps <= 0 || work.warmup < 0 ||
-        work.warmup >= work.steps ||
-        (work.fast_bytes == 0 && work.fast_fraction <= 0.0))
+        work.warmup >= work.steps)
         throw ConfigError(strprintf(
             "config: invalid oracle input (batch %d, steps %d, warmup "
-            "%d, fast_fraction %g)",
-            work.batch, work.steps, work.warmup, work.fast_fraction));
-    if (work.planner != "greedy" && work.planner != "interval")
-        throw ConfigError(strprintf(
-            "config: planner must be 'greedy' or 'interval' (got '%s')",
-            work.planner.c_str()));
+            "%d)",
+            work.batch, work.steps, work.warmup));
+    sentinelOptions(work); // validates the planner
     if (work.tiers < 1 || work.tiers > static_cast<int>(mem::kMaxTiers))
         throw ConfigError(strprintf(
             "config: tiers %d out of range [1, %d]", work.tiers,
@@ -339,21 +335,17 @@ runOracle(const ExperimentConfig &base, const OracleOptions &opts)
         }
     }();
     std::uint64_t peak = graph.peakMemoryBytes();
-    std::uint64_t fast_bytes =
-        work.fast_bytes != 0
-            ? work.fast_bytes
-            : mem::roundUpToPages(static_cast<std::uint64_t>(
-                  static_cast<double>(peak) * work.fast_fraction));
+    std::uint64_t fast_bytes = fastTierBytes(work, peak);
     if (fast_bytes < mem::kPageSize)
         throw ConfigError(strprintf(
             "config: fast tier (%llu bytes) is smaller than one page",
             static_cast<unsigned long long>(fast_bytes)));
     if (work.sentinel.use_reserved_pool) {
-        std::uint64_t rs_cap = mem::roundUpToPages(
-            static_cast<std::uint64_t>(static_cast<double>(fast_bytes) *
-                                       work.sentinel.rs_cap_fraction));
-        if (work.sentinel.rs_cap_fraction <= 0.0 ||
-            work.sentinel.rs_cap_fraction > 1.0 || rs_cap >= fast_bytes)
+        // Range first (NaN fails it too): the cast needs it.
+        double frac = work.sentinel.rs_cap_fraction;
+        if (!(frac > 0.0 && frac <= 1.0) ||
+            mem::roundUpToPages(static_cast<std::uint64_t>(
+                static_cast<double>(fast_bytes) * frac)) >= fast_bytes)
             throw ConfigError(strprintf(
                 "config: reserved pool cap (fraction %g of %llu bytes) "
                 "leaves no fast memory for long-lived pages",
@@ -642,7 +634,8 @@ FuzzCase::parse(const std::string &text)
             "sentinelrepro: invalid run shape (batch %d, steps %d, "
             "warmup %d)",
             c.batch, c.steps, c.warmup));
-    if (c.fast_fraction <= 0.0 || c.fast_fraction > 1.5)
+    // Range checks written so NaN (std::stod accepts "nan") fails.
+    if (!(c.fast_fraction > 0.0 && c.fast_fraction <= 1.5))
         throw ConfigError(strprintf(
             "sentinelrepro: fraction %g out of range (0, 1.5]",
             c.fast_fraction));
@@ -654,8 +647,8 @@ FuzzCase::parse(const std::string &text)
         throw ConfigError(strprintf(
             "sentinelrepro: tiers %d out of range [1, %d]", c.tiers,
             static_cast<int>(mem::kMaxTiers)));
-    if (c.inject_capacity < 0.0 || c.inject_capacity >= 1.0 ||
-        c.inject_traffic < -0.9 || c.inject_traffic > 10.0)
+    if (!(c.inject_capacity >= 0.0 && c.inject_capacity < 1.0) ||
+        !(c.inject_traffic >= -0.9 && c.inject_traffic <= 10.0))
         throw ConfigError("sentinelrepro: injection knob out of range");
     if (!c.cpu && !c.gpu)
         throw ConfigError(

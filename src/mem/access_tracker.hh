@@ -55,10 +55,6 @@ class AccessTracker
     {
     }
 
-    /** Sizing hint.  The chunked directory allocates on first touch,
-     *  so this is a no-op kept for API stability. */
-    void reserve(std::size_t /*expected_pages*/) {}
-
     /** Begin tracking @p page (poison its PTE). */
     void track(PageId page);
 

@@ -29,19 +29,8 @@ HeterogeneousMemory::nullChannel()
     return ch;
 }
 
-HeterogeneousMemory::HeterogeneousMemory(TierParams fast, TierParams slow,
-                                         MigrationParams migration,
-                                         PageTable::Backend backend)
-    : HeterogeneousMemory(
-          std::vector<TierParams>{ std::move(fast), std::move(slow) },
-          std::vector<MigrationParams>{ migration }, backend)
-{
-}
-
 HeterogeneousMemory::HeterogeneousMemory(std::vector<TierParams> tiers,
-                                         std::vector<MigrationParams> links,
-                                         PageTable::Backend backend)
-    : table_(backend)
+                                         std::vector<MigrationParams> links)
 {
     SENTINEL_ASSERT(!tiers.empty() && tiers.size() <= kMaxTiers,
                     "tier chain must have 1..%u tiers (got %zu)",

@@ -12,6 +12,10 @@
  * "demote".  All policies and the Sentinel runtime talk to memory
  * exclusively through this class.
  *
+ * The page table has one implementation; the map-backed table the
+ * tests diff it against (tests/support/ref_page_table.hh) is a
+ * test-only reference model, never built into this class.
+ *
  * Capacity protocol: a migration reserves destination-tier space when
  * it is scheduled and releases source-tier space when it completes
  * (lazily committed as simulated time advances), so fast-memory
@@ -57,22 +61,14 @@ struct HmStats {
 class HeterogeneousMemory
 {
   public:
-    /** Legacy two-tier constructor; delegates to the chain form. */
-    HeterogeneousMemory(TierParams fast, TierParams slow,
-                        MigrationParams migration,
-                        PageTable::Backend backend =
-                            PageTable::defaultBackend());
-
     /**
-     * N-tier chain constructor.  @p tiers is ordered fastest-first;
-     * @p links[i] connects tiers i and i+1 (so links.size() must be
-     * tiers.size() - 1).  A single-tier chain has no links and never
-     * migrates.
+     * @p tiers is ordered fastest-first; @p links[i] connects tiers i
+     * and i+1 (so links.size() must be tiers.size() - 1).  The classic
+     * two-tier system is ({fast, slow}, {migration}).  A single-tier
+     * chain has no links and never migrates.
      */
     HeterogeneousMemory(std::vector<TierParams> tiers,
-                        std::vector<MigrationParams> links,
-                        PageTable::Backend backend =
-                            PageTable::defaultBackend());
+                        std::vector<MigrationParams> links);
 
     // --- Topology ------------------------------------------------------
 

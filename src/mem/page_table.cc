@@ -8,18 +8,6 @@
 
 namespace sentinel::mem {
 
-PageTable::Backend
-PageTable::defaultBackend()
-{
-#ifdef SENTINEL_DENSE_PT_OFF
-    return Backend::Hash;
-#else
-    return Backend::Dense;
-#endif
-}
-
-PageTable::PageTable(Backend backend) : backend_(backend) {}
-
 PageTable::Chunk &
 PageTable::chunkFor(PageId page)
 {
@@ -56,14 +44,6 @@ PageTable::ensureCold(Chunk &ch)
 void
 PageTable::map(PageId page, Tier tier)
 {
-    if (backend_ == Backend::Hash) {
-        auto [it, inserted] = entries_.emplace(page, PageEntry{});
-        SENTINEL_ASSERT(inserted, "page %llu already mapped",
-                        static_cast<unsigned long long>(page));
-        it->second.tier = tier;
-        ++num_mapped_;
-        return;
-    }
     Chunk &ch = chunkFor(page);
     std::uint8_t &s = ch.state[page & kChunkMask];
     SENTINEL_ASSERT(s == kStateUnmapped, "page %llu already mapped",
@@ -77,11 +57,6 @@ PageTable::map(PageId page, Tier tier)
 void
 PageTable::mapRange(PageId first, std::uint64_t count, Tier tier)
 {
-    if (backend_ == Backend::Hash) {
-        for (std::uint64_t i = 0; i < count; ++i)
-            map(first + i, tier);
-        return;
-    }
     const std::uint8_t val = stateByte(tier, false);
     PageId p = first;
     std::uint64_t left = count;
@@ -107,17 +82,6 @@ PageTable::mapRange(PageId first, std::uint64_t count, Tier tier)
 void
 PageTable::unmap(PageId page)
 {
-    if (backend_ == Backend::Hash) {
-        auto it = entries_.find(page);
-        SENTINEL_ASSERT(it != entries_.end(),
-                        "unmap of unmapped page %llu",
-                        static_cast<unsigned long long>(page));
-        if (it->second.in_flight)
-            --num_inflight_;
-        entries_.erase(it);
-        --num_mapped_;
-        return;
-    }
     const Chunk *c = findChunk(page);
     SENTINEL_ASSERT(c && c->state[page & kChunkMask] != kStateUnmapped,
                     "unmap of unmapped page %llu",
@@ -137,11 +101,6 @@ PageTable::unmap(PageId page)
 void
 PageTable::unmapRange(PageId first, std::uint64_t count)
 {
-    if (backend_ == Backend::Hash) {
-        for (std::uint64_t i = 0; i < count; ++i)
-            unmap(first + i);
-        return;
-    }
     PageId p = first;
     std::uint64_t left = count;
     while (left > 0) {
@@ -177,8 +136,6 @@ PageTable::unmapRange(PageId first, std::uint64_t count)
 bool
 PageTable::isMapped(PageId page) const
 {
-    if (backend_ == Backend::Hash)
-        return entries_.find(page) != entries_.end();
     const Chunk *c = findChunk(page);
     return c && c->state[page & kChunkMask] != kStateUnmapped;
 }
@@ -186,13 +143,6 @@ PageTable::isMapped(PageId page) const
 PageEntry
 PageTable::entry(PageId page) const
 {
-    if (backend_ == Backend::Hash) {
-        auto it = entries_.find(page);
-        SENTINEL_ASSERT(it != entries_.end(),
-                        "entry() of unmapped page %llu",
-                        static_cast<unsigned long long>(page));
-        return it->second;
-    }
     const Chunk *c = findChunk(page);
     SENTINEL_ASSERT(c && c->state[page & kChunkMask] != kStateUnmapped,
                     "entry() of unmapped page %llu",
@@ -214,18 +164,7 @@ PageRunState
 PageTable::runState(PageId first, std::uint64_t count) const
 {
     SENTINEL_ASSERT(count > 0, "runState() of empty range");
-    if (backend_ == Backend::Hash) {
-        PageEntry e0 = entry(first);
-        PageRunState rs{ e0.tier, e0.in_flight, 1 };
-        while (rs.count < count) {
-            PageEntry e = entry(first + rs.count);
-            if (e.tier != rs.tier || e.in_flight != rs.in_flight)
-                break;
-            ++rs.count;
-        }
-        return rs;
-    }
-    // Dense: one chunk at a time.  A chunk whose summary counters say
+    // One chunk at a time.  A chunk whose summary counters say
     // "every mapped page matches the run state" extends the run by the
     // whole sub-range without touching the state bytes (the caller
     // guarantees the range is mapped); mixed chunks fall back to a
@@ -290,12 +229,6 @@ PageTable::runState(PageId first, std::uint64_t count) const
 bool
 PageTable::anyInFlight(PageId first, std::uint64_t count) const
 {
-    if (backend_ == Backend::Hash) {
-        for (std::uint64_t i = 0; i < count; ++i)
-            if (entry(first + i).in_flight)
-                return true;
-        return false;
-    }
     PageId p = first;
     std::uint64_t left = count;
     while (left > 0) {
@@ -324,22 +257,6 @@ PageTable::anyInFlight(PageId first, std::uint64_t count) const
 std::uint64_t
 PageTable::beginMigration(PageId page, Tier dest, Tick arrival)
 {
-    if (backend_ == Backend::Hash) {
-        auto it = entries_.find(page);
-        SENTINEL_ASSERT(it != entries_.end(),
-                        "access to unmapped page %llu",
-                        static_cast<unsigned long long>(page));
-        PageEntry &e = it->second;
-        SENTINEL_ASSERT(!e.in_flight, "page %llu is already migrating",
-                        static_cast<unsigned long long>(page));
-        SENTINEL_ASSERT(e.tier != dest, "migration to the same tier");
-        e.in_flight = true;
-        e.dest = dest;
-        e.arrival = arrival;
-        e.seq = next_seq_++;
-        ++num_inflight_;
-        return e.seq;
-    }
     const Chunk *c = findChunk(page);
     SENTINEL_ASSERT(c && c->state[page & kChunkMask] != kStateUnmapped,
                     "access to unmapped page %llu",
@@ -363,18 +280,6 @@ PageTable::beginMigration(PageId page, Tier dest, Tick arrival)
 bool
 PageTable::commitMigration(PageId page, std::uint64_t seq)
 {
-    if (backend_ == Backend::Hash) {
-        auto it = entries_.find(page);
-        if (it == entries_.end())
-            return false; // freed while in flight
-        PageEntry &e = it->second;
-        if (!e.in_flight || e.seq != seq)
-            return false; // cancelled or superseded
-        e.tier = e.dest;
-        e.in_flight = false;
-        --num_inflight_;
-        return true;
-    }
     const Chunk *c = findChunk(page);
     if (!c)
         return false; // freed while in flight
@@ -398,13 +303,6 @@ PageTable::beginMigrationRun(std::span<const std::pair<PageId, Tick>> run,
                              Tier dest)
 {
     SENTINEL_ASSERT(!run.empty(), "empty migration run");
-    if (backend_ == Backend::Hash) {
-        std::uint64_t seq0 = beginMigration(run[0].first, dest,
-                                            run[0].second);
-        for (std::size_t i = 1; i < run.size(); ++i)
-            beginMigration(run[i].first, dest, run[i].second);
-        return seq0;
-    }
     const std::uint64_t seq0 = next_seq_;
     std::size_t i = 0;
     while (i < run.size()) {
@@ -444,12 +342,6 @@ std::uint64_t
 PageTable::commitMigrationRun(PageId first, std::uint64_t count,
                               std::uint64_t seq0)
 {
-    if (backend_ == Backend::Hash) {
-        std::uint64_t done = 0;
-        for (std::uint64_t k = 0; k < count; ++k)
-            done += commitMigration(first + k, seq0 + k) ? 1 : 0;
-        return done;
-    }
     std::uint64_t done = 0;
     std::uint64_t k = 0;
     while (k < count) {
@@ -484,17 +376,6 @@ PageTable::commitMigrationRun(PageId first, std::uint64_t count,
 void
 PageTable::cancelMigration(PageId page)
 {
-    if (backend_ == Backend::Hash) {
-        auto it = entries_.find(page);
-        SENTINEL_ASSERT(it != entries_.end(),
-                        "access to unmapped page %llu",
-                        static_cast<unsigned long long>(page));
-        SENTINEL_ASSERT(it->second.in_flight,
-                        "cancel of non-migrating page");
-        it->second.in_flight = false;
-        --num_inflight_;
-        return;
-    }
     const Chunk *c = findChunk(page);
     SENTINEL_ASSERT(c && c->state[page & kChunkMask] != kStateUnmapped,
                     "access to unmapped page %llu",
@@ -510,10 +391,9 @@ PageTable::cancelMigration(PageId page)
 void
 PageTable::clear()
 {
-    entries_.clear();
     num_mapped_ = 0;
     num_inflight_ = 0;
-    // O(1) dense clear: bump the epoch; old chunks become stale and are
+    // O(1) clear: bump the epoch; old chunks become stale and are
     // recycled (not re-allocated) on their next touch.  On the
     // (astronomically rare) wrap, drop the chunks so stale epochs
     // cannot alias the restarted counter.

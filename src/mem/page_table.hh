@@ -7,21 +7,18 @@
  * HeterogeneousMemory facade lazily commits arrivals as simulated time
  * advances.
  *
- * Two backends share one interface:
+ * The table is struct-of-arrays chunks.  The hot state of a page (tier
+ * + in-flight bit) is ONE byte in a per-chunk state array, so lookups
+ * are two loads and range walks are byte scans.  Cold migration state
+ * (arrival tick, commit-guard sequence) lives in separate per-chunk
+ * arrays allocated only once a chunk sees its first migration.  Each
+ * chunk also carries summary counters (mapped / per-tier / in-flight
+ * page counts), which answer the dominant runState() query — "is this
+ * whole range uniform?" — in O(chunks) instead of O(pages).
+ * Mapped-ness is tracked with a per-chunk epoch so clear() is O(1).
  *
- *  - Dense (default): struct-of-arrays chunks.  The hot state of a page
- *    (tier + in-flight bit) is ONE byte in a per-chunk state array, so
- *    lookups are two loads and range walks are byte scans.  Cold
- *    migration state (arrival tick, commit-guard sequence) lives in
- *    separate per-chunk arrays allocated only once a chunk sees its
- *    first migration.  Each chunk also carries summary counters
- *    (mapped / fast-resident / in-flight page counts), which answer the
- *    dominant runState() query — "is this whole range uniform?" — in
- *    O(chunks) instead of O(pages).  Mapped-ness is tracked with a
- *    per-chunk epoch so clear() is O(1).
- *  - Hash: the original std::unordered_map, kept as a debug fallback
- *    (configure with -DSENTINEL_DENSE_PT=OFF, or construct with
- *    Backend::Hash) for differential testing against the dense path.
+ * Its reference model is test-only: tests/support/ref_page_table.hh,
+ * a std::map per page, is diffed against this table op by op.
  */
 
 #ifndef SENTINEL_MEM_PAGE_TABLE_HH
@@ -30,7 +27,6 @@
 #include <cstdint>
 #include <memory>
 #include <span>
-#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -39,7 +35,7 @@
 
 namespace sentinel::mem {
 
-/** Per-page state (a composed view; the dense backend stores SoA). */
+/** Per-page state (a composed view; the table stores SoA). */
 struct PageEntry {
     Tier tier = Tier::Slow;     ///< current (source) tier
     bool in_flight = false;     ///< migration scheduled, not yet arrived
@@ -64,18 +60,6 @@ struct PageRunState {
 class PageTable
 {
   public:
-    enum class Backend {
-        Dense, ///< chunked struct-of-arrays (production)
-        Hash,  ///< std::unordered_map (debug fallback)
-    };
-
-    /** Build-time default: Dense unless -DSENTINEL_DENSE_PT=OFF. */
-    static Backend defaultBackend();
-
-    explicit PageTable(Backend backend = defaultBackend());
-
-    Backend backend() const { return backend_; }
-
     /** Map @p page into @p tier.  The page must not be mapped. */
     void map(PageId page, Tier tier);
 
@@ -90,9 +74,8 @@ class PageTable
 
     bool isMapped(PageId page) const;
 
-    /** Entry for @p page (must be mapped).  The dense backend composes
-     *  the view from its SoA arrays: dest/arrival are meaningful only
-     *  while in_flight. */
+    /** Entry for @p page (must be mapped), composed from the SoA
+     *  arrays: dest/arrival/seq are meaningful only while in_flight. */
     PageEntry entry(PageId page) const;
 
     /**
@@ -215,14 +198,8 @@ class PageTable
     /** Ensure the chunk's cold migration arrays exist. */
     void ensureCold(Chunk &ch);
 
-    Backend backend_;
-
-    // Dense backend state.
     std::vector<Chunk> chunks_;
     std::uint32_t epoch_ = 1;
-
-    // Hash backend state.
-    std::unordered_map<PageId, PageEntry> entries_;
 
     std::size_t num_mapped_ = 0;
     std::size_t num_inflight_ = 0;

@@ -148,12 +148,6 @@ Profiler::profile(const df::Graph &graph, mem::HeterogeneousMemory &hm,
     ProfilingPolicy policy(db);
     df::Executor ex(graph, hm, params, policy);
     mem::AccessTracker tracker(opts_.fault_cost);
-    // The profiling layout never recycles addresses, so the tracker
-    // will see every tensor's page-aligned footprint exactly once.
-    std::size_t est_pages = 0;
-    for (const auto &t : graph.tensors())
-        est_pages += t.pageAlignedBytes() / mem::kPageSize;
-    tracker.reserve(est_pages);
     ex.setAccessTracker(&tracker);
     ex.setTelemetry(telemetry_);
 
@@ -234,7 +228,6 @@ Profiler::profilePageLevel(const df::Graph &graph,
     PackedSlowPolicy policy;
     df::Executor ex(graph, hm, params, policy);
     mem::AccessTracker tracker(opts_.fault_cost);
-    tracker.reserve(graph.peakMemoryBytes() / mem::kPageSize);
     ex.setAccessTracker(&tracker);
     ex.setTelemetry(telemetry_);
     ex.runStep();

@@ -12,7 +12,8 @@ namespace {
 
 constexpr std::size_t kMinBuckets = 16;
 
-/** Heap comparator: the earliest (when, seq) entry surfaces first. */
+/** Bucket-heap comparator: the earliest (when, seq) entry surfaces
+ *  first. */
 struct HeapLater {
     bool
     operator()(const auto &a, const auto &b) const
@@ -25,32 +26,14 @@ struct HeapLater {
 
 } // namespace
 
-EventQueue::Backend
-EventQueue::defaultBackend()
-{
-#ifdef SENTINEL_CALENDAR_EQ_OFF
-    return Backend::Heap;
-#else
-    return Backend::Calendar;
-#endif
-}
-
-EventQueue::EventQueue(Backend backend) : backend_(backend)
-{
-    if (backend_ == Backend::Calendar)
-        buckets_.resize(kMinBuckets);
-}
+EventQueue::EventQueue() : buckets_(kMinBuckets) {}
 
 void
 EventQueue::schedule(Tick when, Callback cb)
 {
     SENTINEL_ASSERT(when >= 0, "event scheduled at negative tick %lld",
                     static_cast<long long>(when));
-    Entry e{ when, next_seq_++, std::move(cb) };
-    if (backend_ == Backend::Heap)
-        heapPush(std::move(e));
-    else
-        calPush(std::move(e));
+    calPush(Entry{ when, next_seq_++, std::move(cb) });
     ++count_;
     if (when < search_from_)
         search_from_ = when;
@@ -61,8 +44,6 @@ EventQueue::nextEventTick() const
 {
     if (count_ == 0)
         return -1;
-    if (backend_ == Backend::Heap)
-        return heap_.front().when;
     std::size_t b, i;
     calFind(&b, &i);
     return buckets_[b][i].when;
@@ -75,7 +56,7 @@ EventQueue::runUntil(Tick until)
     while (count_ > 0 && nextEventTick() <= until) {
         // Move out before erasing: the callback may schedule new
         // events, which mutates the container.
-        Entry e = popEarliest();
+        Entry e = calPop();
         now_ = e.when;
         e.cb(e.when);
         ++n;
@@ -92,7 +73,6 @@ EventQueue::drain()
 void
 EventQueue::reset()
 {
-    heap_.clear();
     for (auto &b : buckets_)
         b.clear();
     count_ = 0;
@@ -104,53 +84,25 @@ EventQueue::reset()
 void
 EventQueue::shrink()
 {
-    if (backend_ == Backend::Calendar) {
-        if (count_ == 0) {
-            // Empty: the whole table collapses back to its floor size.
-            buckets_.assign(kMinBuckets, std::vector<Entry>());
-        } else {
-            // Pending events: rebucket into the smallest power-of-two
-            // table that fits them.  calResize also re-calibrates the
-            // bucket width and rewinds search_from_ to the earliest
-            // pending tick — without the rewind, a day-walk starting
-            // from the stale pre-shrink position could need a full
-            // fruitless lap plus the min-over-fronts fallback on every
-            // pop until the walk caught up.
-            calResize(std::max(kMinBuckets, std::bit_ceil(count_)));
-        }
-        buckets_.shrink_to_fit();
-        for (auto &b : buckets_)
-            b.shrink_to_fit();
+    if (count_ == 0) {
+        // Empty: the whole table collapses back to its floor size.
+        buckets_.assign(kMinBuckets, std::vector<Entry>());
+    } else {
+        // Pending events: rebucket into the smallest power-of-two table
+        // that fits them.  calResize also re-calibrates the bucket
+        // width and rewinds search_from_ to the earliest pending tick —
+        // without the rewind, a day-walk starting from the stale
+        // pre-shrink position could need a full fruitless lap plus the
+        // min-over-fronts fallback on every pop until the walk caught
+        // up.
+        calResize(std::max(kMinBuckets, std::bit_ceil(count_)));
     }
-    heap_.shrink_to_fit();
+    buckets_.shrink_to_fit();
+    for (auto &b : buckets_)
+        b.shrink_to_fit();
 }
 
-EventQueue::Entry
-EventQueue::popEarliest()
-{
-    return backend_ == Backend::Heap ? heapPop() : calPop();
-}
-
-// --- Heap backend -------------------------------------------------------
-
-void
-EventQueue::heapPush(Entry &&e)
-{
-    heap_.push_back(std::move(e));
-    std::push_heap(heap_.begin(), heap_.end(), HeapLater{});
-}
-
-EventQueue::Entry
-EventQueue::heapPop()
-{
-    std::pop_heap(heap_.begin(), heap_.end(), HeapLater{});
-    Entry e = std::move(heap_.back());
-    heap_.pop_back();
-    --count_;
-    return e;
-}
-
-// --- Calendar backend ---------------------------------------------------
+// --- Calendar -----------------------------------------------------------
 
 std::size_t
 EventQueue::bucketOf(Tick when) const

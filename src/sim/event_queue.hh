@@ -15,21 +15,18 @@
  * breaks the tie, never container internals (tests/sim/test_event_queue.cc
  * pins the interleaving down).
  *
- * Two backends share the interface, mirroring the dense/hash page-table
- * split:
+ * The queue is a calendar queue (Brown 1988).  Events hash into
+ * power-of-two time buckets by `when >> bucket_shift`; a pop walks
+ * "days" forward from the last known minimum, so in the common
+ * near-future case both schedule and pop are O(1) amortized and the
+ * bucket vectors are reused without allocation.  The bucket width
+ * re-calibrates to the observed event spacing whenever the table
+ * resizes.  Total order is still exact: within a day the minimum
+ * (when, seq) entry is selected, and a fruitless full lap falls back to
+ * a global scan (events far beyond the current horizon).
  *
- *  - Calendar (default): a calendar queue (Brown 1988).  Events hash
- *    into power-of-two time buckets by `when >> bucket_shift`; a pop
- *    walks "days" forward from the last known minimum, so in the common
- *    near-future case both schedule and pop are O(1) amortized and the
- *    bucket vectors are reused without allocation.  The bucket width
- *    re-calibrates to the observed event spacing whenever the table
- *    resizes.  Total order is still exact: within a day the minimum
- *    (when, seq) entry is selected, and a fruitless full lap falls back
- *    to a global scan (events far beyond the current horizon).
- *  - Heap (fallback): the original binary heap, kept behind
- *    Backend::Heap (or -DSENTINEL_CALENDAR_EQ=OFF) for differential
- *    testing of pop order.
+ * Its reference model is test-only: tests/sim/test_event_queue_diff.cc
+ * keeps a sorted (when, seq) queue and diffs the pop order against it.
  */
 
 #ifndef SENTINEL_SIM_EVENT_QUEUE_HH
@@ -49,17 +46,7 @@ class EventQueue
   public:
     using Callback = std::function<void(Tick)>;
 
-    enum class Backend {
-        Calendar, ///< calendar queue / time wheel (production)
-        Heap,     ///< binary min-heap (differential fallback)
-    };
-
-    /** Build-time default: Calendar unless -DSENTINEL_CALENDAR_EQ=OFF. */
-    static Backend defaultBackend();
-
-    explicit EventQueue(Backend backend = defaultBackend());
-
-    Backend backend() const { return backend_; }
+    EventQueue();
 
     /** Schedule @p cb to fire at absolute time @p when. */
     void schedule(Tick when, Callback cb);
@@ -93,9 +80,9 @@ class EventQueue
     void reset();
 
     /**
-     * Release all retained storage (bucket vectors, heap array) back
-     * to the allocator.  Long fuzz campaigns call this between cases
-     * so one large case doesn't pin peak memory across thousands of
+     * Release all retained storage (the bucket vectors) back to the
+     * allocator.  Long fuzz campaigns call this between cases so one
+     * large case doesn't pin peak memory across thousands of
      * iterations.  Pending events survive: shrink() only drops *spare*
      * capacity — with events pending, the calendar rebuckets them into
      * the smallest table that fits and restarts its day-walk at the
@@ -103,8 +90,8 @@ class EventQueue
      */
     void shrink();
 
-    /** Calendar bucket-table width (0 under the heap backend);
-     *  exposed so tests can pin shrink()'s collapse. */
+    /** Calendar bucket-table width; exposed so tests can pin
+     *  shrink()'s collapse. */
     std::size_t bucketCount() const { return buckets_.size(); }
 
   private:
@@ -123,29 +110,15 @@ class EventQueue
         return a.seq < b.seq;
     }
 
-    // --- Heap backend ---------------------------------------------------
-    void heapPush(Entry &&e);
-    Entry heapPop();
-
-    // --- Calendar backend -----------------------------------------------
     std::size_t bucketOf(Tick when) const;
     void calPush(Entry &&e);
+    /** Pop the globally earliest entry. */
     Entry calPop();
     /** Locate the earliest entry: bucket + index, or false if empty. */
     bool calFind(std::size_t *bucket, std::size_t *index) const;
     /** Grow/recalibrate the table to fit @p count events. */
     void calResize(std::size_t nbuckets);
 
-    /** Pop the globally earliest entry from the active backend. */
-    Entry popEarliest();
-
-    Backend backend_;
-
-    // Heap backend state: std::make_heap over a plain vector so reset()
-    // can keep the capacity (std::priority_queue hides its container).
-    std::vector<Entry> heap_;
-
-    // Calendar backend state.
     std::vector<std::vector<Entry>> buckets_;
     unsigned bucket_shift_ = 10; ///< bucket width = 2^shift ticks
     /** Lower bound on the earliest pending tick (search start). */

@@ -2,13 +2,13 @@
  * @file
  * Differential tests for the extent-granular hot path.
  *
- * The range walk (Executor::AccessMode::Range) and the dense page
- * table are performance features; semantically they must be invisible.
- * Every combination of {dense, hash} page table x {Range, PerPage}
- * access mode x {batched, per-page} policy hook must produce StepStats
- * that are equal field-for-field, on a graph engineered to hit the
- * awkward cases: multi-page tensors, odd (non-page-multiple) traffic,
- * and migrations still in flight in the middle of an accessed extent.
+ * The range walk (Executor::AccessMode::Range) is a performance
+ * feature; semantically it must be invisible.  Every combination of
+ * {Range, PerPage} access mode x {batched, per-page} policy hook must
+ * produce StepStats that are equal field-for-field, on a graph
+ * engineered to hit the awkward cases: multi-page tensors, odd
+ * (non-page-multiple) traffic, and migrations still in flight in the
+ * middle of an accessed extent.
  */
 
 #include <cstdint>
@@ -127,7 +127,7 @@ struct TestGraph {
 };
 
 mem::HeterogeneousMemory
-makeHm(mem::PageTable::Backend backend)
+makeHm()
 {
     // Fast tier large enough for the promoted slice, migration slow
     // enough (4 GB/s, 2 us startup) that layer-begin transfers are
@@ -135,15 +135,14 @@ makeHm(mem::PageTable::Backend backend)
     mem::TierParams fast{ "dram", 64ull << 20, 50e9, 40e9, 80, 80 };
     mem::TierParams slow{ "pmm", 1ull << 30, 6e9, 2e9, 300, 100 };
     mem::MigrationParams mig{ 4e9, 2e9, 2000 };
-    return mem::HeterogeneousMemory(fast, slow, mig, backend);
+    return mem::HeterogeneousMemory({ fast, slow }, { mig });
 }
 
 std::vector<StepStats>
-runCombo(mem::PageTable::Backend backend, Executor::AccessMode mode,
-         bool batched_policy, int steps = 3)
+runCombo(Executor::AccessMode mode, bool batched_policy, int steps = 3)
 {
     TestGraph tg;
-    auto hm = makeHm(backend);
+    auto hm = makeHm();
     MigratingTestPolicy policy(tg.weight, batched_policy);
     Executor ex(tg.graph, hm, ExecParams{}, policy);
     ex.setAccessMode(mode);
@@ -178,8 +177,7 @@ TEST(ExtentEquivalence, MigrationActuallyOverlapsAccesses)
 {
     // Guard: the scenario must exercise what it claims to — stalls
     // from in-flight pages and traffic from both tiers.
-    auto stats = runCombo(mem::PageTable::Backend::Dense,
-                          Executor::AccessMode::Range, false);
+    auto stats = runCombo(Executor::AccessMode::Range, false);
     bool stalled = false, fast = false, slow = false;
     for (const auto &s : stats) {
         stalled |= s.num_stalls > 0;
@@ -193,35 +191,14 @@ TEST(ExtentEquivalence, MigrationActuallyOverlapsAccesses)
 
 TEST(ExtentEquivalence, RangeWalkMatchesPerPageWalk)
 {
-    auto ref = runCombo(mem::PageTable::Backend::Hash,
-                        Executor::AccessMode::PerPage, false);
-    expectSameStats(runCombo(mem::PageTable::Backend::Hash,
-                             Executor::AccessMode::Range, false),
-                    ref);
-    expectSameStats(runCombo(mem::PageTable::Backend::Dense,
-                             Executor::AccessMode::Range, false),
-                    ref);
-}
-
-TEST(ExtentEquivalence, DenseBackendMatchesHashBackend)
-{
-    auto ref = runCombo(mem::PageTable::Backend::Hash,
-                        Executor::AccessMode::PerPage, false);
-    expectSameStats(runCombo(mem::PageTable::Backend::Dense,
-                             Executor::AccessMode::PerPage, false),
-                    ref);
+    expectSameStats(runCombo(Executor::AccessMode::Range, false),
+                    runCombo(Executor::AccessMode::PerPage, false));
 }
 
 TEST(ExtentEquivalence, BatchedPolicyHookMatchesPerPageHook)
 {
-    auto ref = runCombo(mem::PageTable::Backend::Hash,
-                        Executor::AccessMode::PerPage, false);
-    expectSameStats(runCombo(mem::PageTable::Backend::Dense,
-                             Executor::AccessMode::Range, true),
-                    ref);
-    expectSameStats(runCombo(mem::PageTable::Backend::Hash,
-                             Executor::AccessMode::Range, true),
-                    ref);
+    expectSameStats(runCombo(Executor::AccessMode::Range, true),
+                    runCombo(Executor::AccessMode::PerPage, false));
 }
 
 TEST(ExtentEquivalence, TrafficBytesAreExact)
@@ -232,7 +209,7 @@ TEST(ExtentEquivalence, TrafficBytesAreExact)
     TestGraph tg;
     for (auto mode : { Executor::AccessMode::Range,
                        Executor::AccessMode::PerPage }) {
-        auto hm = makeHm(mem::PageTable::Backend::Dense);
+        auto hm = makeHm();
         MigratingTestPolicy policy(tg.weight, false);
         Executor ex(tg.graph, hm, ExecParams{}, policy);
         ex.setAccessMode(mode);

@@ -166,6 +166,13 @@ TEST(CorpusReplay, MalformedFilesAreRejected)
     EXPECT_THROW(FuzzCase::parse("# sentinelrepro v1\nmodel=synthetic:1\n"
                                  "cpu=0\ngpu=0\n"),
                  ConfigError);
+    // std::stod reads "nan"; the range checks must still refuse it.
+    EXPECT_THROW(FuzzCase::parse("# sentinelrepro v1\nmodel=synthetic:1\n"
+                                 "fraction=nan\n"),
+                 ConfigError);
+    EXPECT_THROW(FuzzCase::parse("# sentinelrepro v1\nmodel=synthetic:1\n"
+                                 "inject_capacity=nan\n"),
+                 ConfigError);
 }
 
 TEST(CorpusReplay, InjectedViolationIsDetectedAndShrinksDeterministically)

@@ -1,11 +1,21 @@
 #include <gtest/gtest.h>
 
+#include <limits>
+
 #include "harness/experiment.hh"
 #include "mem/page.hh"
 #include "models/registry.hh"
 
 namespace sentinel::harness {
 namespace {
+
+/** Non-finite inputs every range check must reject: NaN passes a
+ *  plain `x <= 0` test, and both would be cast to an integer. */
+constexpr double kNonFinite[] = {
+    std::numeric_limits<double>::quiet_NaN(),
+    std::numeric_limits<double>::infinity(),
+    -std::numeric_limits<double>::infinity(),
+};
 
 ExperimentConfig
 smallConfig()
@@ -171,6 +181,26 @@ TEST(Harness, RejectsSubPageFastTier)
     cfg = smallConfig();
     cfg.fast_fraction = 0.0;
     EXPECT_THROW(runExperiment(cfg, "numa"), ConfigError);
+    for (double bad : kNonFinite) {
+        cfg.fast_fraction = bad;
+        EXPECT_THROW(runExperiment(cfg, "numa"), ConfigError) << bad;
+    }
+}
+
+TEST(Harness, RejectsNonFiniteMidTierKnobs)
+{
+    ExperimentConfig cfg = smallConfig();
+    cfg.tiers = 3;
+    for (double bad : kNonFinite) {
+        cfg.mid_fraction = bad;
+        EXPECT_THROW(runExperiment(cfg, "numa"), ConfigError) << bad;
+    }
+    cfg = smallConfig();
+    cfg.tiers = 3;
+    for (double bad : kNonFinite) {
+        cfg.mid_bw = bad;
+        EXPECT_THROW(runExperiment(cfg, "numa"), ConfigError) << bad;
+    }
 }
 
 TEST(Harness, RejectsReservedPoolConsumingWholeTier)
@@ -186,6 +216,10 @@ TEST(Harness, RejectsReservedPoolConsumingWholeTier)
     cfg = smallConfig();
     cfg.sentinel.rs_cap_fraction = 1.5;
     EXPECT_THROW(runExperiment(cfg, "sentinel"), ConfigError);
+    for (double bad : kNonFinite) {
+        cfg.sentinel.rs_cap_fraction = bad;
+        EXPECT_THROW(runExperiment(cfg, "sentinel"), ConfigError) << bad;
+    }
 }
 
 TEST(Harness, ConfigErrorIsDistinguishableFromRunFailures)

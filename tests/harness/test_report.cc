@@ -2,10 +2,10 @@
  * @file
  * Property tests for stall attribution and the report surface.
  *
- * The load-bearing invariant: for every page-table backend x access-
- * mode combination, the attributed components sum EXACTLY (tick for
- * tick) to the StepStats totals the executor reported — attribution is
- * a decomposition, never an estimate.  On top of that, the rendered
+ * The load-bearing invariant: in both executor access modes (the Range
+ * extent walk and the PerPage walk), the attributed components sum
+ * EXACTLY (tick for tick) to the StepStats totals the executor
+ * reported — attribution is a decomposition, never an estimate.  On top of that, the rendered
  * report must be bit-identical between serial and parallel rendering,
  * and a stalling Sentinel run must name at least one offending tensor
  * with the audit reason behind its placement.
@@ -36,9 +36,9 @@ struct CaseResult {
     telemetry::AuditLog audit;
 };
 
-/** One Sentinel run of a small model under the given substrate knobs. */
+/** One Sentinel run of a small model under the given access mode. */
 std::unique_ptr<CaseResult>
-runCase(mem::PageTable::Backend backend, df::Executor::AccessMode mode)
+runCase(df::Executor::AccessMode mode)
 {
     auto out = std::make_unique<CaseResult>();
 
@@ -47,14 +47,13 @@ runCase(mem::PageTable::Backend backend, df::Executor::AccessMode mode)
         mem::roundUpToPages(graph.peakMemoryBytes() / 5);
     auto cfg = core::RuntimeConfig::optane(fast);
 
-    mem::HeterogeneousMemory prof_hm(cfg.fast, cfg.slow, cfg.migration);
+    mem::HeterogeneousMemory prof_hm(cfg.tierChain(), cfg.linkChain());
     prof::Profiler profiler(cfg.profiler);
     auto profile = profiler.profile(graph, prof_hm, cfg.exec);
 
     core::SentinelPolicy policy(profile.db);
     policy.setAudit(&out->audit);
-    mem::HeterogeneousMemory hm(cfg.fast, cfg.slow, cfg.migration,
-                                backend);
+    mem::HeterogeneousMemory hm(cfg.tierChain(), cfg.linkChain());
     hm.setAttribution(&out->attr);
     df::Executor ex(graph, hm, cfg.exec, policy);
     ex.setAccessMode(mode);
@@ -63,25 +62,18 @@ runCase(mem::PageTable::Backend backend, df::Executor::AccessMode mode)
     return out;
 }
 
-TEST(AttributionProperty, ExactAcrossBackendsAndAccessModes)
+TEST(AttributionProperty, ExactAcrossAccessModes)
 {
     const struct {
-        mem::PageTable::Backend backend;
         df::Executor::AccessMode mode;
         const char *label;
     } combos[] = {
-        { mem::PageTable::Backend::Dense,
-          df::Executor::AccessMode::Range, "dense/range" },
-        { mem::PageTable::Backend::Dense,
-          df::Executor::AccessMode::PerPage, "dense/per-page" },
-        { mem::PageTable::Backend::Hash,
-          df::Executor::AccessMode::Range, "hash/range" },
-        { mem::PageTable::Backend::Hash,
-          df::Executor::AccessMode::PerPage, "hash/per-page" },
+        { df::Executor::AccessMode::Range, "range" },
+        { df::Executor::AccessMode::PerPage, "per-page" },
     };
     for (const auto &c : combos) {
         SCOPED_TRACE(c.label);
-        auto r = runCase(c.backend, c.mode);
+        auto r = runCase(c.mode);
         // endStep() would already have panicked on drift; re-assert the
         // identities from the outside against the executor's numbers.
         ASSERT_EQ(r->attr.steps().size(), r->stats.size());
@@ -108,9 +100,7 @@ class ReportRendering : public ::testing::Test
     static void
     SetUpTestSuite()
     {
-        case_ = runCase(mem::PageTable::defaultBackend(),
-                        df::Executor::AccessMode::Range)
-                    .release();
+        case_ = runCase(df::Executor::AccessMode::Range).release();
         graph_ = new df::Graph(models::makeModel("resnet20", 8));
     }
     static void

@@ -32,17 +32,13 @@ makeHm(std::uint64_t fast_bytes)
 {
     mem::TierParams fast{ "dram", fast_bytes, 76e9, 50e9, 85, 90 };
     mem::TierParams slow{ "pmm", 64ull << 30, 30e9, 10e9, 300, 120 };
-    return mem::HeterogeneousMemory(fast, slow, { 8e9, 6e9, 2000 });
+    return mem::HeterogeneousMemory({ fast, slow }, { { 8e9, 6e9, 2000 } });
 }
 
 TEST(ZeroAlloc, SentinelSteadyStateStepDoesNotAllocate)
 {
     if (!common::allocHookActive())
         GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
-    // The hash page table allocates per map/unmap by design; the
-    // zero-allocation property is a promise of the dense backend.
-    if (mem::PageTable::defaultBackend() != mem::PageTable::Backend::Dense)
-        GTEST_SKIP() << "hash page-table fallback allocates by design";
 
     df::Graph g = models::makeModel("resnet20", 8);
     std::uint64_t fast = mem::roundUpToPages(g.peakMemoryBytes() / 5);
@@ -71,8 +67,6 @@ TEST(ZeroAlloc, LiveObservabilityPlaneDoesNotAllocateInSteadyState)
 {
     if (!common::allocHookActive())
         GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
-    if (mem::PageTable::defaultBackend() != mem::PageTable::Backend::Dense)
-        GTEST_SKIP() << "hash page-table fallback allocates by design";
 
     df::Graph g = models::makeModel("resnet20", 8);
     std::uint64_t fast = mem::roundUpToPages(g.peakMemoryBytes() / 5);

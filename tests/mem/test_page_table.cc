@@ -5,27 +5,9 @@
 namespace sentinel::mem {
 namespace {
 
-/**
- * Every behavioral test runs against both backends: the dense
- * direct-indexed table (hot path) and the hash map (debug fallback)
- * must be observably identical.
- */
-class PageTableTest : public ::testing::TestWithParam<PageTable::Backend>
+TEST(PageTable, MapUnmap)
 {
-  protected:
-    PageTable makeTable() const { return PageTable(GetParam()); }
-};
-
-INSTANTIATE_TEST_SUITE_P(
-    Backends, PageTableTest,
-    ::testing::Values(PageTable::Backend::Dense, PageTable::Backend::Hash),
-    [](const ::testing::TestParamInfo<PageTable::Backend> &info) {
-        return info.param == PageTable::Backend::Dense ? "Dense" : "Hash";
-    });
-
-TEST_P(PageTableTest, MapUnmap)
-{
-    PageTable pt = makeTable();
+    PageTable pt;
     EXPECT_FALSE(pt.isMapped(7));
     pt.map(7, Tier::Slow);
     EXPECT_TRUE(pt.isMapped(7));
@@ -35,23 +17,23 @@ TEST_P(PageTableTest, MapUnmap)
     EXPECT_FALSE(pt.isMapped(7));
 }
 
-TEST_P(PageTableTest, DoubleMapPanics)
+TEST(PageTable, DoubleMapPanics)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     pt.map(1, Tier::Fast);
     EXPECT_THROW(pt.map(1, Tier::Fast), std::logic_error);
 }
 
-TEST_P(PageTableTest, UnmapUnknownPanics)
+TEST(PageTable, UnmapUnknownPanics)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     EXPECT_THROW(pt.unmap(9), std::logic_error);
     EXPECT_THROW(pt.entry(9), std::logic_error);
 }
 
-TEST_P(PageTableTest, MigrationLifecycle)
+TEST(PageTable, MigrationLifecycle)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     pt.map(3, Tier::Slow);
     std::uint64_t seq = pt.beginMigration(3, Tier::Fast, 1000);
     EXPECT_TRUE(pt.entry(3).in_flight);
@@ -63,9 +45,9 @@ TEST_P(PageTableTest, MigrationLifecycle)
     EXPECT_EQ(pt.entry(3).tier, Tier::Fast);
 }
 
-TEST_P(PageTableTest, StaleCommitIsIgnored)
+TEST(PageTable, StaleCommitIsIgnored)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     pt.map(3, Tier::Slow);
     std::uint64_t seq1 = pt.beginMigration(3, Tier::Fast, 10);
     pt.cancelMigration(3);
@@ -80,33 +62,33 @@ TEST_P(PageTableTest, StaleCommitIsIgnored)
     EXPECT_TRUE(pt.commitMigration(3, seq2));
 }
 
-TEST_P(PageTableTest, CommitAfterUnmapIsIgnored)
+TEST(PageTable, CommitAfterUnmapIsIgnored)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     pt.map(5, Tier::Fast);
     std::uint64_t seq = pt.beginMigration(5, Tier::Slow, 10);
     pt.unmap(5);
     EXPECT_FALSE(pt.commitMigration(5, seq));
 }
 
-TEST_P(PageTableTest, DoubleMigrationPanics)
+TEST(PageTable, DoubleMigrationPanics)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     pt.map(1, Tier::Slow);
     pt.beginMigration(1, Tier::Fast, 5);
     EXPECT_THROW(pt.beginMigration(1, Tier::Fast, 6), std::logic_error);
 }
 
-TEST_P(PageTableTest, SameTierMigrationPanics)
+TEST(PageTable, SameTierMigrationPanics)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     pt.map(1, Tier::Slow);
     EXPECT_THROW(pt.beginMigration(1, Tier::Slow, 5), std::logic_error);
 }
 
-TEST_P(PageTableTest, RangeMapUnmap)
+TEST(PageTable, RangeMapUnmap)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     pt.mapRange(100, 50, Tier::Fast);
     EXPECT_EQ(pt.numMapped(), 50u);
     for (PageId p = 100; p < 150; ++p) {
@@ -120,9 +102,9 @@ TEST_P(PageTableTest, RangeMapUnmap)
     EXPECT_FALSE(pt.isMapped(125));
 }
 
-TEST_P(PageTableTest, RunStateFindsUniformPrefix)
+TEST(PageTable, RunStateFindsUniformPrefix)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     pt.mapRange(0, 10, Tier::Slow);
     pt.mapRange(10, 5, Tier::Fast);
     pt.mapRange(15, 5, Tier::Slow);
@@ -147,9 +129,9 @@ TEST_P(PageTableTest, RunStateFindsUniformPrefix)
     EXPECT_EQ(rs.count, 1u);
 }
 
-TEST_P(PageTableTest, AnyInFlight)
+TEST(PageTable, AnyInFlight)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     pt.mapRange(0, 8, Tier::Slow);
     EXPECT_FALSE(pt.anyInFlight(0, 8));
     pt.beginMigration(6, Tier::Fast, 10);
@@ -158,12 +140,12 @@ TEST_P(PageTableTest, AnyInFlight)
     EXPECT_TRUE(pt.anyInFlight(6, 1));
 }
 
-TEST_P(PageTableTest, SparseHighAddresses)
+TEST(PageTable, SparseHighAddresses)
 {
     // The co-allocation layout places regions at multiples of 2^44
     // bytes (2^32 pages); the table must handle those page numbers
     // without densifying the gaps.
-    PageTable pt = makeTable();
+    PageTable pt;
     const PageId bases[] = { 0, 1ull << 32, 2ull << 32, 3ull << 32 };
     for (PageId base : bases)
         pt.mapRange(base, 16, Tier::Slow);
@@ -179,11 +161,11 @@ TEST_P(PageTableTest, SparseHighAddresses)
     EXPECT_EQ(pt.numMapped(), 0u);
 }
 
-TEST_P(PageTableTest, RangeAcrossChunkBoundary)
+TEST(PageTable, RangeAcrossChunkBoundary)
 {
-    // The dense backend stores pages in 2^16-page chunks; a range
+    // The table stores pages in 2^16-page chunks; a range
     // spanning the seam must behave exactly like an interior one.
-    PageTable pt = makeTable();
+    PageTable pt;
     const PageId seam = 1ull << 16;
     pt.mapRange(seam - 8, 16, Tier::Fast);
     EXPECT_EQ(pt.numMapped(), 16u);
@@ -199,9 +181,9 @@ TEST_P(PageTableTest, RangeAcrossChunkBoundary)
     EXPECT_EQ(pt.numMapped(), 0u);
 }
 
-TEST_P(PageTableTest, ClearForgetsEverything)
+TEST(PageTable, ClearForgetsEverything)
 {
-    PageTable pt = makeTable();
+    PageTable pt;
     pt.mapRange(40, 10, Tier::Fast);
     pt.beginMigration(44, Tier::Slow, 7);
     pt.clear();
@@ -216,11 +198,11 @@ TEST_P(PageTableTest, ClearForgetsEverything)
     EXPECT_EQ(pt.numMapped(), 1u);
 }
 
-TEST_P(PageTableTest, RepeatedClearCycles)
+TEST(PageTable, RepeatedClearCycles)
 {
-    // Exercises epoch reuse in the dense backend: many clear cycles
-    // over the same pages must never resurrect old entries.
-    PageTable pt = makeTable();
+    // Exercises per-chunk epoch reuse: many clear cycles over the same
+    // pages must never resurrect old entries.
+    PageTable pt;
     for (int cycle = 0; cycle < 100; ++cycle) {
         pt.mapRange(0, 4, Tier::Fast);
         pt.map(1ull << 20, Tier::Slow);
@@ -230,17 +212,6 @@ TEST_P(PageTableTest, RepeatedClearCycles)
         EXPECT_FALSE(pt.isMapped(0));
         EXPECT_FALSE(pt.isMapped(1ull << 20));
     }
-}
-
-TEST(PageTable, DefaultBackendMatchesBuildOption)
-{
-#ifdef SENTINEL_DENSE_PT_OFF
-    EXPECT_EQ(PageTable::defaultBackend(), PageTable::Backend::Hash);
-#else
-    EXPECT_EQ(PageTable::defaultBackend(), PageTable::Backend::Dense);
-#endif
-    PageTable pt;
-    EXPECT_EQ(pt.backend(), PageTable::defaultBackend());
 }
 
 } // namespace

@@ -17,7 +17,7 @@ makeHm()
 {
     mem::TierParams fast{ "dram", 64ull << 20, 50e9, 40e9, 80, 80 };
     mem::TierParams slow{ "pmm", 4ull << 30, 6e9, 2e9, 300, 100 };
-    return mem::HeterogeneousMemory(fast, slow, { 4e9, 2e9, 2000 });
+    return mem::HeterogeneousMemory({ fast, slow }, { { 4e9, 2e9, 2000 } });
 }
 
 ProfileResult

@@ -1,17 +1,20 @@
 /**
  * @file
  * Differential test: the calendar event queue must be observationally
- * identical to the binary-heap fallback.  Both backends promise one
- * total order — (when, seq) with seq breaking same-tick ties FIFO —
- * so the exact (tick, id) pop sequence over a randomized workload has
- * to match element-for-element, including cascaded events scheduled
- * from inside callbacks (whose seq numbers only line up if every
- * earlier pop already did) and a mid-run reset()/shrink().
+ * identical to a test-only reference queue, a std::map sorted by
+ * (when, seq).  Both promise one total order — (when, seq) with seq
+ * breaking same-tick ties FIFO — so the exact (tick, id) pop sequence
+ * over a randomized workload has to match element-for-element,
+ * including cascaded events scheduled from inside callbacks (whose seq
+ * numbers only line up if every earlier pop already did) and a mid-run
+ * reset()/shrink().
  */
 
 #include <algorithm>
 #include <bit>
 #include <cstdint>
+#include <limits>
+#include <map>
 #include <random>
 #include <utility>
 #include <vector>
@@ -26,17 +29,74 @@ namespace {
 using PopRecord = std::vector<std::pair<Tick, int>>;
 
 /**
- * One randomized campaign driven into @p q: bursts of events with
- * heavy same-tick collisions, staged runUntil() horizons, a sprinkle
- * of far-future stragglers, and (when @p with_reset) a mid-run
- * reset() + shrink() while events are still pending.  Deterministic
- * in the seed, so two backends fed the same seed see the same input.
+ * The reference model: every pending event in one std::map keyed by
+ * (when, seq), popped from the front.  Same interface as EventQueue
+ * (shrink() has nothing to release).
  */
-PopRecord
-runCampaign(EventQueue::Backend backend, std::uint64_t seed,
-            int rounds, int burst, bool with_reset)
+class RefQueue
 {
-    EventQueue q(backend);
+  public:
+    void
+    schedule(Tick when, EventQueue::Callback cb)
+    {
+        pending_.emplace(std::make_pair(when, next_seq_++), std::move(cb));
+    }
+
+    std::size_t
+    runUntil(Tick until)
+    {
+        std::size_t n = 0;
+        while (!pending_.empty() && pending_.begin()->first.first <= until) {
+            auto node = pending_.extract(pending_.begin());
+            now_ = node.key().first;
+            node.mapped()(now_);
+            ++n;
+        }
+        return n;
+    }
+
+    std::size_t drain() { return runUntil(std::numeric_limits<Tick>::max()); }
+
+    void
+    reset()
+    {
+        pending_.clear();
+        next_seq_ = 0;
+        now_ = 0;
+    }
+
+    void shrink() {}
+    std::size_t size() const { return pending_.size(); }
+    Tick now() const { return now_; }
+
+  private:
+    std::map<std::pair<Tick, std::uint64_t>, EventQueue::Callback> pending_;
+    std::uint64_t next_seq_ = 0;
+    Tick now_ = 0;
+};
+
+void
+expectSamePops(const PopRecord &cal, const PopRecord &ref)
+{
+    ASSERT_EQ(cal.size(), ref.size());
+    for (std::size_t i = 0; i < cal.size(); ++i) {
+        ASSERT_EQ(cal[i], ref[i]) << "diverged at pop " << i;
+    }
+}
+
+/**
+ * One randomized campaign driven into a fresh Queue: bursts of events
+ * with heavy same-tick collisions, staged runUntil() horizons, a
+ * sprinkle of far-future stragglers, and (when @p with_reset) a
+ * mid-run reset() + shrink() while events are still pending.
+ * Deterministic in the seed, so both queues fed the same seed see the
+ * same input.
+ */
+template <typename Queue>
+PopRecord
+runCampaign(std::uint64_t seed, int rounds, int burst, bool with_reset)
+{
+    Queue q;
     PopRecord popped;
     std::mt19937_64 rng(seed);
     int next_id = 0;
@@ -61,7 +121,7 @@ runCampaign(EventQueue::Backend backend, std::uint64_t seed,
                 popped.emplace_back(t, id);
                 // Every eighth event cascades a follow-up; its seq is
                 // allocated at pop time, so cascades only agree across
-                // backends if the whole prior pop order agrees.
+                // queues if the whole prior pop order agrees.
                 if ((r & 7) == 0) {
                     int cid = next_id++;
                     q.schedule(t + static_cast<Tick>(r % 50),
@@ -79,64 +139,45 @@ runCampaign(EventQueue::Backend backend, std::uint64_t seed,
     return popped;
 }
 
-TEST(EventQueueDiff, CalendarMatchesHeapOverRandomizedCampaign)
+TEST(EventQueueDiff, CalendarMatchesReferenceOverRandomizedCampaign)
 {
     // 10 rounds x 1000 events (plus ~12% cascades) ≈ 11k pops.
-    PopRecord cal = runCampaign(EventQueue::Backend::Calendar,
-                                0x5eed5eedull, 10, 1000, false);
-    PopRecord heap = runCampaign(EventQueue::Backend::Heap,
-                                 0x5eed5eedull, 10, 1000, false);
-    ASSERT_EQ(cal.size(), heap.size());
-    for (std::size_t i = 0; i < cal.size(); ++i) {
-        ASSERT_EQ(cal[i], heap[i]) << "diverged at pop " << i;
-    }
+    expectSamePops(runCampaign<EventQueue>(0x5eed5eedull, 10, 1000, false),
+                   runCampaign<RefQueue>(0x5eed5eedull, 10, 1000, false));
 }
 
-TEST(EventQueueDiff, CalendarMatchesHeapAcrossMidRunReset)
+TEST(EventQueueDiff, CalendarMatchesReferenceAcrossMidRunReset)
 {
-    PopRecord cal = runCampaign(EventQueue::Backend::Calendar,
-                                0xfeedbeefull, 8, 600, true);
-    PopRecord heap = runCampaign(EventQueue::Backend::Heap,
-                                 0xfeedbeefull, 8, 600, true);
-    ASSERT_EQ(cal.size(), heap.size());
-    for (std::size_t i = 0; i < cal.size(); ++i) {
-        ASSERT_EQ(cal[i], heap[i]) << "diverged at pop " << i;
-    }
+    expectSamePops(runCampaign<EventQueue>(0xfeedbeefull, 8, 600, true),
+                   runCampaign<RefQueue>(0xfeedbeefull, 8, 600, true));
 }
 
-TEST(EventQueueDiff, BothBackendsKeepSameTickFifoUnderCollisionStorm)
+TEST(EventQueueDiff, SameTickFifoUnderCollisionStorm)
 {
     // All events on ONE tick: pure FIFO, worst case for the calendar
     // (a single bucket holds everything).
-    for (auto backend : { EventQueue::Backend::Calendar,
-                          EventQueue::Backend::Heap }) {
-        EventQueue q(backend);
-        std::vector<int> order;
-        for (int i = 0; i < 2000; ++i)
-            q.schedule(777, [&order, i](Tick) { order.push_back(i); });
-        EXPECT_EQ(q.drain(), 2000u);
-        ASSERT_EQ(order.size(), 2000u);
-        for (int i = 0; i < 2000; ++i)
-            ASSERT_EQ(order[i], i) << "backend "
-                                   << static_cast<int>(backend);
-    }
+    EventQueue q;
+    std::vector<int> order;
+    for (int i = 0; i < 2000; ++i)
+        q.schedule(777, [&order, i](Tick) { order.push_back(i); });
+    EXPECT_EQ(q.drain(), 2000u);
+    ASSERT_EQ(order.size(), 2000u);
+    for (int i = 0; i < 2000; ++i)
+        ASSERT_EQ(order[i], i);
 }
 
 TEST(EventQueueDiff, ShrinkPreservesPendingEvents)
 {
-    for (auto backend : { EventQueue::Backend::Calendar,
-                          EventQueue::Backend::Heap }) {
-        EventQueue q(backend);
-        std::vector<Tick> fired;
-        for (Tick t = 0; t < 100; ++t)
-            q.schedule(t * 10, [&fired](Tick at) { fired.push_back(at); });
-        q.runUntil(490);
-        q.shrink();
-        q.drain();
-        ASSERT_EQ(fired.size(), 100u);
-        for (Tick t = 0; t < 100; ++t)
-            EXPECT_EQ(fired[static_cast<std::size_t>(t)], t * 10);
-    }
+    EventQueue q;
+    std::vector<Tick> fired;
+    for (Tick t = 0; t < 100; ++t)
+        q.schedule(t * 10, [&fired](Tick at) { fired.push_back(at); });
+    q.runUntil(490);
+    q.shrink();
+    q.drain();
+    ASSERT_EQ(fired.size(), 100u);
+    for (Tick t = 0; t < 100; ++t)
+        EXPECT_EQ(fired[static_cast<std::size_t>(t)], t * 10);
 }
 
 TEST(EventQueueDiff, MidCampaignShrinkCollapsesTableAndKeepsOrder)
@@ -148,11 +189,8 @@ TEST(EventQueueDiff, MidCampaignShrinkCollapsesTableAndKeepsOrder)
     // most of it, shrink mid-campaign with a pending tail, then keep
     // scheduling across the shrunk table: the table must collapse to
     // the smallest power-of-two fit and the pop order must stay
-    // element-for-element identical to the heap backend.
-    auto campaign = [](EventQueue::Backend backend,
-                       std::size_t *pending_at_shrink,
-                       std::size_t *buckets_after_shrink) {
-        EventQueue q(backend);
+    // element-for-element identical to the reference queue.
+    auto campaign = [](auto &q, auto after_shrink) {
         PopRecord popped;
         std::mt19937_64 rng(0xca1e9da7ull);
         int next_id = 0;
@@ -167,10 +205,7 @@ TEST(EventQueueDiff, MidCampaignShrinkCollapsesTableAndKeepsOrder)
         }
         q.runUntil(900'000); // leaves a far-future tail pending
         q.shrink();
-        if (pending_at_shrink)
-            *pending_at_shrink = q.size();
-        if (buckets_after_shrink)
-            *buckets_after_shrink = q.bucketCount();
+        after_shrink(q);
         // Phase 2: the shrunk table keeps absorbing new work that
         // interleaves with the surviving tail.
         for (int i = 0; i < 1000; ++i) {
@@ -184,23 +219,22 @@ TEST(EventQueueDiff, MidCampaignShrinkCollapsesTableAndKeepsOrder)
         return popped;
     };
 
+    EventQueue cal_q;
+    RefQueue ref_q;
     std::size_t pending = 0;
     std::size_t buckets = 0;
-    PopRecord cal =
-        campaign(EventQueue::Backend::Calendar, &pending, &buckets);
-    PopRecord heap =
-        campaign(EventQueue::Backend::Heap, nullptr, nullptr);
+    PopRecord cal = campaign(cal_q, [&](EventQueue &q) {
+        pending = q.size();
+        buckets = q.bucketCount();
+    });
+    PopRecord ref = campaign(ref_q, [](RefQueue &) {});
 
     ASSERT_GT(pending, 0u) << "campaign must shrink with events pending";
     // 5000 concurrent events grow the table to 4096 buckets; after the
     // shrink it must fit the tail exactly (floor 16).
     EXPECT_EQ(buckets, std::max<std::size_t>(16, std::bit_ceil(pending)));
     EXPECT_LT(buckets, 4096u);
-
-    ASSERT_EQ(cal.size(), heap.size());
-    for (std::size_t i = 0; i < cal.size(); ++i) {
-        ASSERT_EQ(cal[i], heap[i]) << "diverged at pop " << i;
-    }
+    expectSamePops(cal, ref);
 }
 
 } // namespace

@@ -113,7 +113,7 @@ measureAllocsPerStep(const std::string &model, const std::string &policy)
     std::optional<prof::ProfileResult> profile;
     std::unique_ptr<df::MemoryPolicy> pol;
     if (policy == "sentinel") {
-        mem::HeterogeneousMemory prof_hm(rc.fast, rc.slow, rc.migration);
+        mem::HeterogeneousMemory prof_hm(rc.tierChain(), rc.linkChain());
         prof::Profiler profiler(rc.profiler);
         profile = profiler.profile(graph, prof_hm, rc.exec);
         pol = std::make_unique<core::SentinelPolicy>(profile->db,
@@ -125,7 +125,7 @@ measureAllocsPerStep(const std::string &model, const std::string &policy)
                        policy.c_str());
     }
 
-    mem::HeterogeneousMemory hm(rc.fast, rc.slow, rc.migration);
+    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
     df::Executor ex(graph, hm, rc.exec, *pol);
 
     // The live observability plane rides along: its per-step feed

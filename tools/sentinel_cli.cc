@@ -340,21 +340,34 @@ cmdCompare(const Args &args)
     return 0;
 }
 
+/**
+ * plan and profile build a healthy two-tier platform themselves;
+ * reject the options they would otherwise silently ignore.
+ */
+void
+requireHealthyTwoTier(const char *cmd, const harness::ExperimentConfig &cfg)
+{
+    if (cfg.tiers != 2)
+        throw harness::ConfigError(strprintf(
+            "%s: runs on the two-tier platform only (got --tiers %d)", cmd,
+            cfg.tiers));
+    if (!cfg.chaos.empty())
+        throw harness::ConfigError(
+            strprintf("%s: does not inject faults (--chaos given)", cmd));
+}
+
 int
 cmdPlan(const Args &args)
 {
     harness::ExperimentConfig cfg = configFrom(args);
+    requireHealthyTwoTier("plan", cfg);
     df::Graph g = models::makeModel(cfg.model, cfg.batch);
     std::uint64_t fast =
-        cfg.fast_bytes != 0
-            ? cfg.fast_bytes
-            : mem::roundUpToPages(static_cast<std::uint64_t>(
-                  static_cast<double>(g.peakMemoryBytes()) *
-                  cfg.fast_fraction));
+        harness::fastTierBytes(cfg, g.peakMemoryBytes());
     core::RuntimeConfig rc =
         harness::platformConfig(cfg.platform, fast);
 
-    mem::HeterogeneousMemory hm(rc.fast, rc.slow, rc.migration);
+    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
     prof::Profiler profiler(rc.profiler);
     auto profile = profiler.profile(g, hm, rc.exec);
 
@@ -468,6 +481,7 @@ int
 cmdProfile(const Args &args)
 {
     harness::ExperimentConfig cfg = configFrom(args);
+    requireHealthyTwoTier("profile", cfg);
     std::string out = args.get("out", "");
     std::string in = args.get("in", "");
 
@@ -480,14 +494,14 @@ cmdProfile(const Args &args)
                             db.numLayers() == g.numLayers(),
                         "profile '%s' does not match %s at batch %d",
                         in.c_str(), cfg.model.c_str(), cfg.batch);
-        std::uint64_t fast = mem::roundUpToPages(
-            static_cast<std::uint64_t>(
-                static_cast<double>(g.peakMemoryBytes()) *
-                cfg.fast_fraction));
+        // Same platform and Sentinel options as `run`: --fraction or
+        // --mem-mb, --platform, --mil, --planner.
+        std::uint64_t fast =
+            harness::fastTierBytes(cfg, g.peakMemoryBytes());
         core::RuntimeConfig rc =
             harness::platformConfig(cfg.platform, fast);
-        mem::HeterogeneousMemory hm(rc.fast, rc.slow, rc.migration);
-        core::SentinelPolicy policy(db, rc.sentinel);
+        mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
+        core::SentinelPolicy policy(db, harness::sentinelOptions(cfg));
         df::Executor ex(g, hm, rc.exec, policy);
         auto stats = ex.run(cfg.steps);
         std::printf("trained %d steps from persisted profile: %.2f "
@@ -500,7 +514,7 @@ cmdProfile(const Args &args)
     df::Graph g = models::makeModel(cfg.model, cfg.batch);
     core::RuntimeConfig rc = harness::platformConfig(
         cfg.platform, mem::roundUpToPages(g.peakMemoryBytes() / 5));
-    mem::HeterogeneousMemory hm(rc.fast, rc.slow, rc.migration);
+    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
     prof::Profiler profiler(rc.profiler);
     auto r = profiler.profile(g, hm, rc.exec);
     std::printf("profiled %s (batch %d): %zu tensors, slowdown %.1fx, "
@@ -937,6 +951,8 @@ usage()
         "  maxbatch  --model M --policy P [--mem-mb M] [--cap N]\n"
         "            [--jobs N] probes the batch ladder in parallel\n"
         "  profile   --model M --batch N [--out FILE | --in FILE]\n"
+        "            (--in trains with the run options: --fraction,\n"
+        "             --mem-mb, --platform, --mil, --planner)\n"
         "  chaos     fault-injection degradation report: sentinel vs.\n"
         "            the platform baselines under --chaos SPEC, with\n"
         "            the per-step time trajectory around each fault\n"
@@ -966,7 +982,9 @@ usage()
         "            removed\n"
         "  models    list the model zoo\n\n"
         "fault injection: --chaos SPEC (and --chaos-seed N) perturb the\n"
-        "training run of any command, e.g.\n"
+        "training run of any command but plan and profile (which run\n"
+        "on a healthy two-tier platform and reject --chaos and\n"
+        "--tiers other than 2), e.g.\n"
         "  --chaos 'bw:step=6,factor=0.5;stall:step=8,ms=2'\n"
         "clauses: bw:step=,factor=[,ch=promote|demote|both]\n"
         "         stall:step=,ms=|us=[,ch=...]\n"
