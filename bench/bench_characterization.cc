@@ -15,6 +15,7 @@
 
 #include "bench_util.hh"
 #include "common/stats.hh"
+#include "core/runtime.hh"
 #include "mem/hm.hh"
 #include "models/registry.hh"
 #include "profile/profiler.hh"
@@ -73,10 +74,7 @@ main(int argc, char **argv)
 
         // --- Observations 2 & 3 (one profiling step) ------------------
         auto cfg = core::RuntimeConfig::optane(1ull << 30);
-        prof::Profiler profiler(cfg.profiler);
-
-        mem::HeterogeneousMemory hm1(cfg.tierChain(), cfg.linkChain());
-        auto profile = profiler.profile(g, hm1, cfg.exec);
+        auto profile = core::profileStep(g, cfg);
 
         Histogram tensor_hist({ 10, 100 });
         for (const auto &tp : profile.db.tensors())
@@ -103,8 +101,9 @@ main(int argc, char **argv)
                       tensor_hist.totalWeight(),
                   2);
 
-        mem::HeterogeneousMemory hm2(cfg.tierChain(), cfg.linkChain());
-        auto pages = profiler.profilePageLevel(g, hm2, cfg.exec);
+        mem::HeterogeneousMemory hm(cfg.tierChain(), cfg.linkChain());
+        prof::Profiler profiler(cfg.profiler);
+        auto pages = profiler.profilePageLevel(g, hm, cfg.exec);
         Histogram page_hist({ 10, 100 });
         for (const auto &pe : pages)
             page_hist.add(static_cast<double>(pe.accesses),

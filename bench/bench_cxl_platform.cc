@@ -16,8 +16,7 @@
 #include "baselines/ial.hh"
 #include "baselines/reference.hh"
 #include "bench_util.hh"
-#include "core/sentinel_policy.hh"
-#include "profile/profiler.hh"
+#include "core/runtime.hh"
 
 using namespace sentinel;
 
@@ -47,9 +46,7 @@ runPlatform(const df::Graph &g, core::RuntimeConfig cfg,
     Row r;
     cfg.fast.capacity = fast20;
 
-    mem::HeterogeneousMemory prof_hm(cfg.tierChain(), cfg.linkChain());
-    prof::Profiler profiler(cfg.profiler);
-    auto profile = profiler.profile(g, prof_hm, cfg.exec);
+    auto profile = core::profileStep(g, cfg);
 
     auto slow = baselines::makeSlowOnly();
     r.slow_only = steadyMs(g, cfg, *slow);

@@ -9,12 +9,8 @@
  */
 
 #include <iostream>
-#include <memory>
 
-#include "baselines/ial.hh"
 #include "bench_util.hh"
-#include "core/sentinel_policy.hh"
-#include "profile/profiler.hh"
 #include "sim/trace.hh"
 #include "telemetry/chrome_trace.hh"
 #include "telemetry/session.hh"
@@ -31,11 +27,11 @@ struct TraceResult {
 };
 
 TraceResult
-traceOnePolicy(const df::Graph &graph, const core::RuntimeConfig &cfg,
-               df::MemoryPolicy &policy, Tick bucket)
+traceOnePolicy(const harness::ExperimentConfig &cfg,
+               const std::string &policy, Tick bucket)
 {
-    mem::HeterogeneousMemory hm(cfg.tierChain(), cfg.linkChain());
-    df::Executor ex(graph, hm, cfg.exec, policy);
+    harness::Run run(cfg, policy);
+    df::Executor &ex = run.executor();
     ex.run(6); // reach steady state
 
     sim::TraceRecorder trace(bucket);
@@ -65,21 +61,14 @@ main(int argc, char **argv)
     bench::banner("Fig. 9 - memory bandwidth during one step",
                   "Fig. 9, Sec. VII-B");
 
-    df::Graph graph =
-        models::makeModel(model, models::modelSpec(model).small_batch);
-    std::uint64_t fast =
-        mem::roundUpToPages(graph.peakMemoryBytes() / 5);
-    auto cfg = core::RuntimeConfig::optane(fast);
-
-    mem::HeterogeneousMemory prof_hm(cfg.tierChain(), cfg.linkChain());
-    prof::Profiler profiler(cfg.profiler);
-    auto profile = profiler.profile(graph, prof_hm, cfg.exec);
+    // Optane platform, fast tier at the default 20% of peak.
+    harness::ExperimentConfig cfg;
+    cfg.model = model;
+    cfg.batch = models::modelSpec(model).small_batch;
 
     const Tick bucket = 2 * kMsec;
-    baselines::IalPolicy ial;
-    TraceResult ial_r = traceOnePolicy(graph, cfg, ial, bucket);
-    core::SentinelPolicy sentinel(profile.db);
-    TraceResult sen_r = traceOnePolicy(graph, cfg, sentinel, bucket);
+    TraceResult ial_r = traceOnePolicy(cfg, "ial", bucket);
+    TraceResult sen_r = traceOnePolicy(cfg, "sentinel", bucket);
 
     Table t("Fig. 9: access bandwidth per 2 ms window (" + model + ")",
             { "window", "IAL fast (GB/s)", "IAL slow (GB/s)",
@@ -115,13 +104,9 @@ main(int argc, char **argv)
     // event-level view behind this figure's bucketed series).
     if (argc > 2) {
         telemetry::Session session;
-        core::SentinelPolicy traced(profile.db);
-        traced.setTelemetry(&session);
-        mem::HeterogeneousMemory hm(cfg.tierChain(), cfg.linkChain());
-        hm.setTelemetry(&session);
-        df::Executor ex(graph, hm, cfg.exec, traced);
-        ex.setTelemetry(&session);
-        ex.run(7);
+        cfg.telemetry = &session;
+        harness::Run run(cfg, "sentinel");
+        run.executor().run(7);
         if (telemetry::saveChromeTrace(session.events(), argv[2])) {
             std::cout << strprintf(
                 "\nChrome trace of %d steady steps written to %s "

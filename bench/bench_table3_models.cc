@@ -9,10 +9,7 @@
 #include <iostream>
 
 #include "bench_util.hh"
-#include "common/stats.hh"
-#include "mem/hm.hh"
 #include "models/registry.hh"
-#include "profile/profiler.hh"
 
 int
 main()
@@ -27,21 +24,16 @@ main()
               "prof slowdown", "mem overhead" });
 
     for (const auto &spec : models::modelZoo()) {
-        df::Graph small = models::makeModel(spec.name, spec.small_batch);
-        df::Graph large = models::makeModel(spec.name, spec.large_batch);
-
-        // Profiling overheads measured at the small batch.
-        auto cfg = core::RuntimeConfig::optane(
-            mem::roundUpToPages(small.peakMemoryBytes() / 5));
-        mem::HeterogeneousMemory phm(cfg.tierChain(), cfg.linkChain());
-        prof::Profiler profiler(cfg.profiler);
-        auto profile = profiler.profile(small, phm, cfg.exec);
-
-        // Trial steps come from a short training run.
+        // Profiling overheads and trial steps come from one short
+        // training run at the small batch.
         harness::ExperimentConfig ec;
         ec.model = spec.name;
         ec.batch = spec.small_batch;
-        harness::Metrics m = harness::runExperiment(ec, "sentinel");
+        harness::Run run(ec, "sentinel");
+        const df::Graph &small = run.graph();
+        const prof::ProfileResult &profile = *run.profile();
+        harness::Metrics m = run.finish().metrics;
+        df::Graph large = models::makeModel(spec.name, spec.large_batch);
 
         t.row()
             .cell(spec.name)

@@ -63,9 +63,7 @@ main(int argc, char **argv)
 
     // --- Observation 2: main-memory access distribution -----------------
     auto cfg = core::RuntimeConfig::optane(1ull << 30);
-    prof::Profiler profiler(cfg.profiler);
-    mem::HeterogeneousMemory hm(cfg.tierChain(), cfg.linkChain());
-    auto profile = profiler.profile(g, hm, cfg.exec);
+    auto profile = core::profileStep(g, cfg);
 
     Histogram hotness({ 1, 10, 100 });
     for (const auto &tp : profile.db.tensors())
@@ -84,8 +82,9 @@ main(int argc, char **argv)
     }
 
     // --- Observation 3: page-level vs tensor-level profiling -------------
-    mem::HeterogeneousMemory hm2(cfg.tierChain(), cfg.linkChain());
-    auto pages = profiler.profilePageLevel(g, hm2, cfg.exec);
+    mem::HeterogeneousMemory hm(cfg.tierChain(), cfg.linkChain());
+    prof::Profiler profiler(cfg.profiler);
+    auto pages = profiler.profilePageLevel(g, hm, cfg.exec);
     Histogram page_hot({ 1, 10, 100 });
     for (const auto &pe : pages)
         page_hot.add(static_cast<double>(pe.accesses),

@@ -128,6 +128,14 @@ RuntimeConfig::gpu(std::uint64_t hbm_bytes)
     return cfg;
 }
 
+prof::ProfileResult
+profileStep(const df::Graph &graph, const RuntimeConfig &rc)
+{
+    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
+    prof::Profiler profiler(rc.profiler);
+    return profiler.profile(graph, hm, rc.exec);
+}
+
 Runtime::Runtime(df::Graph graph, RuntimeConfig cfg)
     : graph_(std::move(graph)), cfg_(std::move(cfg))
 {
@@ -142,15 +150,10 @@ Runtime::Runtime(df::Graph graph, RuntimeConfig cfg)
 void
 Runtime::ensureProfiled()
 {
-    if (profile_)
-        return;
-    // Profiling runs on its own memory system snapshot: the real
-    // implementation profiles the 11th step in place, but the page-
-    // aligned profiling allocation must not linger in the training HM.
-    mem::HeterogeneousMemory profiling_hm(cfg_.tierChain(),
-                                          cfg_.linkChain());
-    prof::Profiler profiler(cfg_.profiler);
-    profile_ = profiler.profile(graph_, profiling_hm, cfg_.exec);
+    // The real implementation profiles the 11th step in place; here
+    // it runs on a scratch memory system (see profileStep).
+    if (!profile_)
+        profile_ = profileStep(graph_, cfg_);
 }
 
 void

@@ -101,6 +101,12 @@ struct RuntimeConfig {
     static RuntimeConfig cxl(std::uint64_t fast_bytes);
 };
 
+/** The profiling phase: one instrumented step of @p graph on a fresh
+ *  memory system built from @p rc, discarded afterwards so the page-
+ *  aligned profiling allocation never lingers in the training one. */
+prof::ProfileResult profileStep(const df::Graph &graph,
+                                const RuntimeConfig &rc);
+
 class Runtime
 {
   public:

@@ -1,8 +1,7 @@
 #include "harness/experiment.hh"
 
+#include <algorithm>
 #include <cmath>
-#include <memory>
-#include <optional>
 
 #include "baselines/autotm.hh"
 #include "baselines/capuchin.hh"
@@ -18,7 +17,6 @@
 #include "common/thread_pool.hh"
 #include "models/registry.hh"
 #include "profile/profiler.hh"
-#include "sim/fault_injector.hh"
 
 namespace sentinel::harness {
 
@@ -56,20 +54,6 @@ fastTierBytes(const ExperimentConfig &cfg, std::uint64_t peak_bytes)
         static_cast<double>(peak_bytes) * cfg.fast_fraction));
 }
 
-core::SentinelOptions
-sentinelOptions(const ExperimentConfig &cfg)
-{
-    if (cfg.planner != "greedy" && cfg.planner != "interval")
-        throw ConfigError(strprintf(
-            "config: planner must be 'greedy' or 'interval' (got '%s')",
-            cfg.planner.c_str()));
-    core::SentinelOptions opts = cfg.sentinel;
-    opts.gpu_mode = cfg.platform == Platform::Gpu;
-    if (cfg.planner == "interval")
-        opts.layout_planner = core::LayoutPlanner::Interval;
-    return opts;
-}
-
 const std::vector<std::string> &
 cpuPolicies()
 {
@@ -98,6 +82,17 @@ needsProfile(const std::string &policy)
            policy == "capuchin" || policy == "sentinel";
 }
 
+bool
+knownPolicy(const std::string &name)
+{
+    const auto &cpu = cpuPolicies();
+    const auto &gpu = gpuPolicies();
+    return name == "tf" || std::count(cpu.begin(), cpu.end(), name) ||
+           std::count(gpu.begin(), gpu.end(), name);
+}
+
+/** Construct a policy validate() accepted; @p db is non-null when
+ *  needsProfile(name). */
 std::unique_ptr<df::MemoryPolicy>
 makePolicy(const std::string &name, const ExperimentConfig &cfg,
            std::uint64_t fast_bytes, const prof::ProfileDatabase *db)
@@ -125,71 +120,37 @@ makePolicy(const std::string &name, const ExperimentConfig &cfg,
         return std::make_unique<baselines::SwapAdvisorPolicy>(*db, gpu);
     if (name == "capuchin")
         return std::make_unique<baselines::CapuchinPolicy>(*db, gpu);
-    if (name == "sentinel")
-        return std::make_unique<core::SentinelPolicy>(*db,
-                                                      sentinelOptions(cfg));
-    SENTINEL_FATAL("unknown policy '%s'", name.c_str());
+    SENTINEL_ASSERT(name == "sentinel",
+                    "unknown policy '%s' got past validate()",
+                    name.c_str());
+    core::SentinelOptions opts = cfg.sentinel;
+    opts.gpu_mode = gpu;
+    if (cfg.planner == "interval")
+        opts.layout_planner = core::LayoutPlanner::Interval;
+    return std::make_unique<core::SentinelPolicy>(*db, opts);
 }
 
-} // namespace
-
-Metrics
-runExperiment(const ExperimentConfig &cfg, const std::string &policy)
+/** validate(), then build the model.  A name that cannot build
+ *  (unknown, or a malformed synthetic:<seed> spec) is a rejected
+ *  input, not an infeasible run: surface it as ConfigError instead of
+ *  the registry's raw runtime_error. */
+df::Graph
+validatedModel(const ExperimentConfig &cfg, const std::string &policy)
 {
-    return runExperimentSteps(cfg, policy).metrics;
+    validate(cfg, policy);
+    try {
+        return models::makeModel(cfg.model, cfg.batch);
+    } catch (const std::runtime_error &e) {
+        throw ConfigError(
+            strprintf("config: cannot build model: %s", e.what()));
+    }
 }
 
-StepTrace
-runExperimentSteps(const ExperimentConfig &cfg, const std::string &policy)
+/** The tier chain of @p policy's cell for a model of @p peak bytes. */
+core::RuntimeConfig
+sizedPlatform(const ExperimentConfig &cfg, const std::string &policy,
+              std::uint64_t peak)
 {
-    StepTrace trace;
-    Metrics &m = trace.metrics;
-    m.policy = policy;
-    m.model = cfg.model;
-    m.batch = cfg.batch;
-
-    if (cfg.batch <= 0)
-        throw ConfigError(
-            strprintf("config: batch must be positive (got %d)",
-                      cfg.batch));
-    if (cfg.steps <= 0)
-        throw ConfigError(
-            strprintf("config: steps must be positive (got %d)",
-                      cfg.steps));
-    if (cfg.warmup < 0 || cfg.warmup >= cfg.steps)
-        throw ConfigError(strprintf(
-            "config: warmup must lie in [0, steps) (warmup %d, steps %d)",
-            cfg.warmup, cfg.steps));
-    // Validates cfg.planner for every policy, not only sentinel.
-    sentinelOptions(cfg);
-    if (cfg.tiers < 1 || cfg.tiers > static_cast<int>(mem::kMaxTiers))
-        throw ConfigError(strprintf(
-            "config: tiers must lie in [1, %u] (got %d)", mem::kMaxTiers,
-            cfg.tiers));
-    // The range checks below are written so NaN fails them too.
-    if (cfg.tiers >= 3 && cfg.mid_bytes == 0 &&
-        !(std::isfinite(cfg.mid_fraction) && cfg.mid_fraction > 0.0))
-        throw ConfigError(strprintf(
-            "config: mid_fraction must be finite and positive (got %g)",
-            cfg.mid_fraction));
-    if (!(std::isfinite(cfg.mid_bw) && cfg.mid_bw >= 0.0))
-        throw ConfigError(strprintf(
-            "config: mid_bw must be finite and non-negative (got %g)",
-            cfg.mid_bw));
-
-    // A bad model name (unknown, or a malformed synthetic:<seed> spec)
-    // is a rejected input, not an infeasible run: surface it as
-    // ConfigError instead of the registry's raw runtime_error.
-    df::Graph graph = [&] {
-        try {
-            return models::makeModel(cfg.model, cfg.batch);
-        } catch (const std::runtime_error &e) {
-            throw ConfigError(
-                strprintf("config: cannot build model: %s", e.what()));
-        }
-    }();
-
-    std::uint64_t peak = graph.peakMemoryBytes();
     std::uint64_t fast_bytes = fastTierBytes(cfg, peak);
     // The fast-only reference gets a fast tier that holds everything.
     if (policy == "fast-only" && cfg.fast_bytes == 0)
@@ -203,15 +164,10 @@ runExperimentSteps(const ExperimentConfig &cfg, const std::string &policy)
             static_cast<unsigned long long>(fast_bytes),
             static_cast<unsigned long long>(mem::kPageSize)));
     if (policy == "sentinel" && cfg.sentinel.use_reserved_pool) {
-        double frac = cfg.sentinel.rs_cap_fraction;
-        if (!(frac > 0.0 && frac <= 1.0))
-            throw ConfigError(strprintf(
-                "config: sentinel.rs_cap_fraction must lie in (0, 1] "
-                "(got %g)",
-                frac));
         // The pool cap is what the policy itself would reserve; if it
         // rounds up to the whole tier nothing is left for long-lived
         // pages and the run degenerates.
+        double frac = cfg.sentinel.rs_cap_fraction;
         std::uint64_t rs_cap = mem::roundUpToPages(
             static_cast<std::uint64_t>(
                 static_cast<double>(fast_bytes) * frac));
@@ -241,56 +197,127 @@ runExperimentSteps(const ExperimentConfig &cfg, const std::string &policy)
                 static_cast<unsigned long long>(mid_bytes),
                 static_cast<unsigned long long>(mem::kPageSize)));
     }
+    return platformConfig(cfg.platform, fast_bytes, cfg.tiers, mid_bytes,
+                          cfg.mid_bw);
+}
 
-    core::RuntimeConfig rc = platformConfig(
-        cfg.platform, fast_bytes, cfg.tiers, mid_bytes, cfg.mid_bw);
+} // namespace
 
-    if (policy == "vdnn" && !baselines::VdnnPolicy::supports(graph)) {
+void
+validate(const ExperimentConfig &cfg, const std::string &policy)
+{
+    if (!knownPolicy(policy))
+        throw ConfigError(
+            strprintf("config: unknown policy '%s'", policy.c_str()));
+    if (cfg.batch <= 0)
+        throw ConfigError(
+            strprintf("config: batch must be positive (got %d)",
+                      cfg.batch));
+    if (cfg.steps <= 0)
+        throw ConfigError(
+            strprintf("config: steps must be positive (got %d)",
+                      cfg.steps));
+    if (cfg.warmup < 0 || cfg.warmup >= cfg.steps)
+        throw ConfigError(strprintf(
+            "config: warmup must lie in [0, steps) (warmup %d, steps %d)",
+            cfg.warmup, cfg.steps));
+    // The knob gates Sentinel's co-allocation only, but a bad value is
+    // rejected for every policy.
+    if (cfg.planner != "greedy" && cfg.planner != "interval")
+        throw ConfigError(strprintf(
+            "config: planner must be 'greedy' or 'interval' (got '%s')",
+            cfg.planner.c_str()));
+    if (cfg.tiers < 1 || cfg.tiers > static_cast<int>(mem::kMaxTiers))
+        throw ConfigError(strprintf(
+            "config: tiers must lie in [1, %u] (got %d)", mem::kMaxTiers,
+            cfg.tiers));
+    // The range checks below are written so NaN fails them too.
+    if (cfg.tiers >= 3 && cfg.mid_bytes == 0 &&
+        !(std::isfinite(cfg.mid_fraction) && cfg.mid_fraction > 0.0))
+        throw ConfigError(strprintf(
+            "config: mid_fraction must be finite and positive (got %g)",
+            cfg.mid_fraction));
+    if (!(std::isfinite(cfg.mid_bw) && cfg.mid_bw >= 0.0))
+        throw ConfigError(strprintf(
+            "config: mid_bw must be finite and non-negative (got %g)",
+            cfg.mid_bw));
+    if (policy == "sentinel" && cfg.sentinel.use_reserved_pool &&
+        !(cfg.sentinel.rs_cap_fraction > 0.0 &&
+          cfg.sentinel.rs_cap_fraction <= 1.0))
+        throw ConfigError(strprintf(
+            "config: sentinel.rs_cap_fraction must lie in (0, 1] "
+            "(got %g)",
+            cfg.sentinel.rs_cap_fraction));
+}
+
+Run::Run(const ExperimentConfig &cfg, const std::string &policy,
+         const prof::ProfileDatabase *profile)
+    : cfg_(cfg), policy_name_(policy),
+      graph_(validatedModel(cfg, policy)),
+      rc_(sizedPlatform(cfg, policy, graph_.peakMemoryBytes()))
+{
+    if (profile && (profile->numTensors() != graph_.numTensors() ||
+                    profile->numLayers() != graph_.numLayers()))
+        throw ConfigError(strprintf(
+            "config: profile (%zu tensors, %d layers) does not match %s "
+            "at batch %d",
+            profile->numTensors(), profile->numLayers(),
+            cfg.model.c_str(), cfg.batch));
+    if (policy == "vdnn" && !baselines::VdnnPolicy::supports(graph_))
+        return;
+
+    if (needsProfile(policy) && !profile) {
+        profile_ = core::profileStep(graph_, rc_);
+        profile = &profile_->db;
+    }
+    policy_ = makePolicy(policy, cfg, rc_.fast.capacity, profile);
+    sentinel_ = dynamic_cast<core::SentinelPolicy *>(policy_.get());
+    hm_ = std::make_unique<mem::HeterogeneousMemory>(rc_.tierChain(),
+                                                     rc_.linkChain());
+    executor_ = std::make_unique<df::Executor>(graph_, *hm_, rc_.exec,
+                                               *policy_);
+
+    // The profiling step above stays unobserved, so an exported
+    // timeline covers one monotonic training clock.
+    if (cfg.telemetry) {
+        hm_->setTelemetry(cfg.telemetry);
+        executor_->setTelemetry(cfg.telemetry);
+        if (sentinel_)
+            sentinel_->setTelemetry(cfg.telemetry);
+    }
+    if (cfg.attribution) {
+        executor_->setAttribution(cfg.attribution);
+        hm_->setAttribution(cfg.attribution);
+    }
+    if (cfg.audit && sentinel_)
+        sentinel_->setAudit(cfg.audit);
+
+    // Chaos mode: the injector perturbs only the training run.  The
+    // profile was taken on the healthy system, so a fault spec starting
+    // at step k makes the profile stale from k onward.
+    if (!cfg.chaos.empty()) {
+        sim::FaultSpec spec = sim::FaultSpec::parse(cfg.chaos);
+        spec.seed = cfg.chaos_seed;
+        executor_->setFaultInjector(&injector_.emplace(std::move(spec)));
+    }
+}
+
+StepTrace
+Run::finish()
+{
+    StepTrace trace;
+    Metrics &m = trace.metrics;
+    m.policy = policy_name_;
+    m.model = cfg_.model;
+    m.batch = cfg_.batch;
+    if (!supported()) {
         m.supported = false;
         m.feasible = false;
         return trace;
     }
 
-    // Profiling phase (one step on a scratch memory system).
-    std::optional<prof::ProfileResult> profile;
-    if (needsProfile(policy)) {
-        mem::HeterogeneousMemory prof_hm(rc.tierChain(), rc.linkChain());
-        prof::Profiler profiler(rc.profiler);
-        profile = profiler.profile(graph, prof_hm, rc.exec);
-    }
-
-    auto pol = makePolicy(policy, cfg, fast_bytes,
-                          profile ? &profile->db : nullptr);
-
-    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
-    df::Executor ex(graph, hm, rc.exec, *pol);
-    if (cfg.telemetry) {
-        hm.setTelemetry(cfg.telemetry);
-        ex.setTelemetry(cfg.telemetry);
-        if (auto *sp = dynamic_cast<core::SentinelPolicy *>(pol.get()))
-            sp->setTelemetry(cfg.telemetry);
-    }
-    if (cfg.attribution) {
-        ex.setAttribution(cfg.attribution);
-        hm.setAttribution(cfg.attribution);
-    }
-    if (cfg.audit)
-        if (auto *sp = dynamic_cast<core::SentinelPolicy *>(pol.get()))
-            sp->setAudit(cfg.audit);
-
-    // Chaos mode: the injector perturbs only the training run.  The
-    // profile above was taken on the healthy system, so a fault spec
-    // starting at step k makes the profile stale from k onward.
-    std::optional<sim::FaultInjector> injector;
-    if (!cfg.chaos.empty()) {
-        sim::FaultSpec spec = sim::FaultSpec::parse(cfg.chaos);
-        spec.seed = cfg.chaos_seed;
-        injector.emplace(std::move(spec));
-        ex.setFaultInjector(&*injector);
-    }
-
     try {
-        trace.steps = ex.run(cfg.steps);
+        trace.steps = executor_->run(cfg_.steps);
     } catch (const std::runtime_error &) {
         // Out of memory (both tiers full): the configuration is
         // infeasible for this policy.
@@ -303,7 +330,7 @@ runExperimentSteps(const ExperimentConfig &cfg, const std::string &policy)
     double slow_traffic = 0.0;
     std::vector<double> step_ms;
     for (const auto &s : trace.steps) {
-        if (s.step < cfg.warmup)
+        if (s.step < cfg_.warmup)
             continue;
         ++measured;
         step_ms.push_back(toMillis(s.step_time));
@@ -334,23 +361,23 @@ runExperimentSteps(const ExperimentConfig &cfg, const std::string &policy)
     m.bytes_fast_mb /= n;
     m.bytes_slow_mb /= n;
     m.throughput =
-        m.step_time_ms > 0.0 ? cfg.batch / (m.step_time_ms / 1e3) : 0.0;
+        m.step_time_ms > 0.0 ? cfg_.batch / (m.step_time_ms / 1e3) : 0.0;
 
     // GPU residency rule: compute must be fed from device memory.
     // A small page-in slack is tolerated (real runtimes stage a few
     // buffers through pinned host memory); a steady stream of host
     // accesses marks the batch infeasible.  UM is exempt: it pages on
     // demand by design.
-    if (cfg.platform == Platform::Gpu && policy != "um") {
+    if (cfg_.platform == Platform::Gpu && policy_name_ != "um") {
         double per_step = slow_traffic / n;
         double total =
             (m.bytes_fast_mb + m.bytes_slow_mb) * 1e6;
         m.feasible = per_step < std::max(16e6, 0.02 * total);
     }
 
-    if (auto *pp = dynamic_cast<baselines::PlannedPolicy *>(pol.get()))
+    if (auto *pp = dynamic_cast<baselines::PlannedPolicy *>(policy_.get()))
         m.layout_mb = static_cast<double>(pp->footprint()) / 1e6;
-    if (auto *sp = dynamic_cast<core::SentinelPolicy *>(pol.get())) {
+    if (core::SentinelPolicy *sp = sentinel_) {
         m.layout_mb =
             static_cast<double>(sp->layoutFootprint()) / 1e6;
         m.mil = sp->migrationPlan().mil;
@@ -370,28 +397,16 @@ runExperimentSteps(const ExperimentConfig &cfg, const std::string &policy)
     return trace;
 }
 
-std::vector<Metrics>
-runAll(const ExperimentConfig &cfg,
-       const std::vector<std::string> &policies)
+Metrics
+runExperiment(const ExperimentConfig &cfg, const std::string &policy)
 {
-    std::vector<Metrics> out;
-    out.reserve(policies.size());
-    for (const auto &p : policies)
-        out.push_back(runExperiment(cfg, p));
-    return out;
+    return Run(cfg, policy).finish().metrics;
 }
 
-std::vector<Metrics>
-runAllParallel(const ExperimentConfig &cfg,
-               const std::vector<std::string> &policies, int jobs)
+StepTrace
+runExperimentSteps(const ExperimentConfig &cfg, const std::string &policy)
 {
-    if (cfg.telemetry || cfg.attribution || cfg.audit)
-        return runAll(cfg, policies);
-    std::vector<Metrics> out(policies.size());
-    parallelFor(policies.size(), jobs, [&](std::size_t i) {
-        out[i] = runExperiment(cfg, policies[i]);
-    });
-    return out;
+    return Run(cfg, policy).finish();
 }
 
 std::vector<Metrics>

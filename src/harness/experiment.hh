@@ -2,10 +2,11 @@
  * @file
  * The experiment harness shared by every benchmark and example.
  *
- * One call = one cell of a paper table/figure: build the model, size
- * the fast tier, construct the named policy (profiling first when the
- * policy needs it), simulate N training steps, and return averaged
- * steady-state metrics.
+ * One cell of a paper table/figure is assembled in one fixed order:
+ * validate() the configuration, then a Run builds the model, sizes the
+ * tier chain, profiles one step (when the policy needs it), and
+ * constructs the policy, memory system, and executor; Run::finish()
+ * simulates N training steps and returns averaged metrics.
  *
  * Policy names:
  *   fast-only, slow-only, numa, memory-mode, ial, autotm, swapadvisor,
@@ -19,6 +20,8 @@
 #ifndef SENTINEL_HARNESS_EXPERIMENT_HH
 #define SENTINEL_HARNESS_EXPERIMENT_HH
 
+#include <memory>
+#include <optional>
 #include <stdexcept>
 #include <string>
 #include <vector>
@@ -26,17 +29,19 @@
 #include "core/runtime.hh"
 #include "dataflow/graph.hh"
 #include "dataflow/step_stats.hh"
+#include "sim/fault_injector.hh"
 #include "telemetry/attribution.hh"
 #include "telemetry/audit.hh"
 
 namespace sentinel::harness {
 
 /**
- * A configuration that violates a harness precondition (fast tier
- * smaller than one page or than the reserved short-lived pool, warmup
- * >= steps, ...).  Deliberately NOT a std::runtime_error: the run loop
- * maps runtime_error to "infeasible", and the fuzzer needs bad inputs
- * distinguishable from both infeasibility and invariant violations.
+ * A configuration that violates a harness precondition (unknown
+ * policy, fast tier smaller than one page or than the reserved
+ * short-lived pool, warmup >= steps, ...).  Deliberately NOT a
+ * std::runtime_error: the run loop maps runtime_error to
+ * "infeasible", and the fuzzer needs bad inputs distinguishable from
+ * both infeasibility and invariant violations.
  */
 class ConfigError : public std::invalid_argument
 {
@@ -201,48 +206,93 @@ core::RuntimeConfig platformConfig(Platform p, std::uint64_t fast_bytes,
 std::uint64_t fastTierBytes(const ExperimentConfig &cfg,
                             std::uint64_t peak_bytes);
 
-/** Sentinel's options for @p cfg: cfg.sentinel with gpu_mode set from
- *  the platform and layout_planner from cfg.planner.  Throws
- *  ConfigError for a planner other than "greedy" or "interval". */
-core::SentinelOptions sentinelOptions(const ExperimentConfig &cfg);
-
 /** All CPU-platform policy names, in the paper's comparison order. */
 const std::vector<std::string> &cpuPolicies();
 /** All GPU-platform policy names (Fig. 12 order). */
 const std::vector<std::string> &gpuPolicies();
 
-/** Run one (model, batch, platform, policy) cell.  Throws ConfigError
- *  when the configuration violates a harness precondition (see
- *  ConfigError); infeasible-but-valid runs instead return metrics with
- *  feasible = false. */
-Metrics runExperiment(const ExperimentConfig &cfg,
-                      const std::string &policy);
+/**
+ * Throw ConfigError unless @p policy under @p cfg passes every
+ * precondition decidable before the model is built (policy name,
+ * batch, steps/warmup, planner, tier knobs, Sentinel's pool fraction).
+ * Run checks the model-dependent rest: the model name and the sized
+ * tiers.
+ */
+void validate(const ExperimentConfig &cfg, const std::string &policy);
 
-/** runExperiment plus the raw per-step stats — the chaos degradation
- *  report needs the step-time trajectory around each injected fault.
- *  `steps` is empty when the run was unsupported or died infeasible. */
+/** A cell's metrics plus its raw per-step stats (the chaos report
+ *  needs the step-time trajectory around each fault).  `steps` is
+ *  empty when the run was unsupported or died infeasible. */
 struct StepTrace {
     Metrics metrics;
     std::vector<df::StepStats> steps;
 };
-StepTrace runExperimentSteps(const ExperimentConfig &cfg,
-                             const std::string &policy);
-
-/** Run several policies on the same configuration. */
-std::vector<Metrics> runAll(const ExperimentConfig &cfg,
-                            const std::vector<std::string> &policies);
 
 /**
- * runAll, fanned out over up to @p jobs worker threads.  Each cell is
- * an independent simulation (its own graph, memory system, and
- * simulated clock), so the result vector is byte-identical to the
- * serial runAll regardless of scheduling.  Falls back to the serial
- * path when cfg.telemetry is set (a shared session cannot record two
- * interleaved clocks).
+ * One assembled (model, batch, platform, policy) cell.  The
+ * constructor validates @p cfg, builds the model, sizes the tier chain
+ * (fast-only with an unsized tier gets one that holds everything),
+ * profiles one step when the policy is profile-driven, constructs the
+ * policy, memory system, and executor, and attaches cfg's observers
+ * and chaos injector; a rejected configuration throws ConfigError.
+ * finish() trains cfg.steps steps and reduces them; callers that drive
+ * the executor themselves use executor() instead.  The executor points
+ * into the Run, so a Run is never copied or moved.
  */
-std::vector<Metrics> runAllParallel(const ExperimentConfig &cfg,
-                                    const std::vector<std::string> &policies,
-                                    int jobs);
+class Run
+{
+  public:
+    /** @p profile, when given, stands in for the profiling step; it
+     *  must outlive the Run and match the model (else ConfigError). */
+    Run(const ExperimentConfig &cfg, const std::string &policy,
+        const prof::ProfileDatabase *profile = nullptr);
+    Run(const Run &) = delete;
+    Run &operator=(const Run &) = delete;
+
+    const df::Graph &graph() const { return graph_; }
+    /** The sized platform the memory system was built from. */
+    const core::RuntimeConfig &platform() const { return rc_; }
+    /** False when the policy cannot run this graph (vDNN off a CNN);
+     *  hm() and executor() exist only when true. */
+    bool supported() const { return executor_ != nullptr; }
+    mem::HeterogeneousMemory &hm() { return *hm_; }
+    df::Executor &executor() { return *executor_; }
+    /** The Sentinel policy, or null for every other policy. */
+    core::SentinelPolicy *sentinel() const { return sentinel_; }
+    /** The profiling step's result, or null when none ran. */
+    const prof::ProfileResult *
+    profile() const
+    {
+        return profile_ ? &*profile_ : nullptr;
+    }
+
+    /** Train cfg.steps steps and reduce the measured ones.  An
+     *  out-of-memory run returns feasible = false and no steps. */
+    StepTrace finish();
+
+  private:
+    ExperimentConfig cfg_;
+    std::string policy_name_;
+    df::Graph graph_;
+    core::RuntimeConfig rc_;
+    std::optional<prof::ProfileResult> profile_;
+    std::unique_ptr<df::MemoryPolicy> policy_;
+    core::SentinelPolicy *sentinel_ = nullptr;
+    std::unique_ptr<mem::HeterogeneousMemory> hm_;
+    std::optional<sim::FaultInjector> injector_;
+    std::unique_ptr<df::Executor> executor_;
+};
+
+/** Run one cell: `Run(cfg, policy).finish().metrics`.  Throws
+ *  ConfigError when the configuration violates a harness precondition
+ *  (see ConfigError); infeasible-but-valid runs instead return metrics
+ *  with feasible = false. */
+Metrics runExperiment(const ExperimentConfig &cfg,
+                      const std::string &policy);
+
+/** `Run(cfg, policy).finish()`. */
+StepTrace runExperimentSteps(const ExperimentConfig &cfg,
+                             const std::string &policy);
 
 /** One cell of a figure/table sweep: a configuration plus a policy. */
 struct SweepCell {
@@ -252,9 +302,9 @@ struct SweepCell {
 
 /**
  * Run every cell, up to @p jobs at a time.  Results are input-ordered
- * (out[i] belongs to cells[i]) and independent of the interleaving.
- * Cells carrying a telemetry session are run serially, after the
- * parallel batch.
+ * (out[i] belongs to cells[i]) and byte-identical for any @p jobs.
+ * Cells carrying a telemetry session, attribution engine, or audit log
+ * are run serially, after the parallel batch.
  */
 std::vector<Metrics> runSweep(const std::vector<SweepCell> &cells,
                               int jobs);

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <functional>
+#include <optional>
 #include <sstream>
 
 #include "common/logging.hh"
@@ -79,8 +80,7 @@ metricsDiff(const Metrics &a, const Metrics &b)
  *  checked by the caller. */
 CellResult
 runCell(const ExperimentConfig &base, const std::string &policy,
-        Platform plat, const char *plat_name, std::uint64_t fast_bytes,
-        const OracleOptions &opts)
+        Platform plat, const char *plat_name, const OracleOptions &opts)
 {
     CellResult r;
     r.cell.policy = policy;
@@ -88,12 +88,6 @@ runCell(const ExperimentConfig &base, const std::string &policy,
 
     ExperimentConfig cfg = base;
     cfg.platform = plat;
-    // fast-only keeps its everything-fits tier when the caller did not
-    // size the tier explicitly — it is the traffic reference, not a
-    // capacity subject.
-    bool oversized = policy == "fast-only" && base.fast_bytes == 0;
-    cfg.fast_bytes = oversized ? 0 : fast_bytes;
-
     telemetry::Session session(
         telemetry::TelemetryConfig{ true, opts.ring_capacity });
     telemetry::AttributionEngine attr;
@@ -102,9 +96,11 @@ runCell(const ExperimentConfig &base, const std::string &policy,
     cfg.attribution = &attr;
     cfg.audit = &audit;
 
+    std::optional<Run> run;
     StepTrace trace;
     try {
-        trace = runExperimentSteps(cfg, policy);
+        run.emplace(cfg, policy);
+        trace = run->finish();
     } catch (const ConfigError &) {
         throw; // precondition failure, not a violation
     } catch (const std::logic_error &e) {
@@ -113,7 +109,7 @@ runCell(const ExperimentConfig &base, const std::string &policy,
         addViolation(r, "internal-panic", e.what());
         return r;
     } catch (const std::runtime_error &e) {
-        // runExperimentSteps maps expected OOM to infeasible; anything
+        // Run::finish maps expected OOM to infeasible; anything
         // escaping is an unclassified failure.
         addViolation(r, "run-error", e.what());
         return r;
@@ -136,22 +132,9 @@ runCell(const ExperimentConfig &base, const std::string &policy,
             static_cast<double>(r.cell.total_traffic) *
             (1.0 + opts.inject_traffic_skew));
 
-    // --- capacity (every chain tier) ----------------------------------
-    if (!oversized) {
-        // Rebuild the capacities exactly as runExperimentSteps sizes
-        // them (same platformConfig path).
-        std::uint64_t mid_bytes = 0;
-        if (cfg.tiers >= 3)
-            mid_bytes =
-                cfg.mid_bytes != 0
-                    ? cfg.mid_bytes
-                    : mem::roundUpToPages(static_cast<std::uint64_t>(
-                          static_cast<double>(fast_bytes) *
-                          cfg.mid_fraction));
-        std::vector<mem::TierParams> chain =
-            platformConfig(plat, fast_bytes, cfg.tiers, mid_bytes,
-                           cfg.mid_bw)
-                .tierChain();
+    // --- capacity (every chain tier, as the run sized it) ------------
+    {
+        std::vector<mem::TierParams> chain = run->platform().tierChain();
         bool violated = false;
         for (const df::StepStats &s : trace.steps) {
             for (std::size_t t = 0; t < chain.size() && !violated; ++t) {
@@ -312,47 +295,6 @@ runOracle(const ExperimentConfig &base, const OracleOptions &opts)
     work.attribution = nullptr;
     work.audit = nullptr;
 
-    // Preconditions first (mirrors runExperimentSteps): the fuzzer
-    // needs a rejected input to fail *here*, before any cell runs.
-    if (work.batch <= 0 || work.steps <= 0 || work.warmup < 0 ||
-        work.warmup >= work.steps)
-        throw ConfigError(strprintf(
-            "config: invalid oracle input (batch %d, steps %d, warmup "
-            "%d)",
-            work.batch, work.steps, work.warmup));
-    sentinelOptions(work); // validates the planner
-    if (work.tiers < 1 || work.tiers > static_cast<int>(mem::kMaxTiers))
-        throw ConfigError(strprintf(
-            "config: tiers %d out of range [1, %d]", work.tiers,
-            static_cast<int>(mem::kMaxTiers)));
-
-    df::Graph graph = [&] {
-        try {
-            return models::makeModel(work.model, work.batch);
-        } catch (const std::runtime_error &e) {
-            throw ConfigError(
-                strprintf("config: cannot build model: %s", e.what()));
-        }
-    }();
-    std::uint64_t peak = graph.peakMemoryBytes();
-    std::uint64_t fast_bytes = fastTierBytes(work, peak);
-    if (fast_bytes < mem::kPageSize)
-        throw ConfigError(strprintf(
-            "config: fast tier (%llu bytes) is smaller than one page",
-            static_cast<unsigned long long>(fast_bytes)));
-    if (work.sentinel.use_reserved_pool) {
-        // Range first (NaN fails it too): the cast needs it.
-        double frac = work.sentinel.rs_cap_fraction;
-        if (!(frac > 0.0 && frac <= 1.0) ||
-            mem::roundUpToPages(static_cast<std::uint64_t>(
-                static_cast<double>(fast_bytes) * frac)) >= fast_bytes)
-            throw ConfigError(strprintf(
-                "config: reserved pool cap (fraction %g of %llu bytes) "
-                "leaves no fast memory for long-lived pages",
-                work.sentinel.rs_cap_fraction,
-                static_cast<unsigned long long>(fast_bytes)));
-    }
-
     struct MatrixEntry {
         std::string policy;
         Platform platform;
@@ -367,11 +309,17 @@ runOracle(const ExperimentConfig &base, const OracleOptions &opts)
     SENTINEL_ASSERT(!matrix.empty(),
                     "oracle needs at least one platform enabled");
 
+    // The model-independent preconditions reject before any cell runs;
+    // the model-dependent ones (tier sizes) reject from the first cell
+    // that sizes its chain.  Either way a rejected input surfaces as
+    // ConfigError, never as a violation.
+    for (const MatrixEntry &e : matrix)
+        validate(work, e.policy);
+
     std::vector<CellResult> results(matrix.size());
     parallelFor(matrix.size(), opts.jobs, [&](std::size_t i) {
         results[i] = runCell(work, matrix[i].policy, matrix[i].platform,
-                             platformName(matrix[i].platform), fast_bytes,
-                             opts);
+                             platformName(matrix[i].platform), opts);
     });
 
     OracleReport report;
@@ -419,9 +367,6 @@ runOracle(const ExperimentConfig &base, const OracleOptions &opts)
             SweepCell cell;
             cell.cfg = work;
             cell.cfg.platform = e.platform;
-            bool oversized =
-                e.policy == "fast-only" && work.fast_bytes == 0;
-            cell.cfg.fast_bytes = oversized ? 0 : fast_bytes;
             cell.policy = e.policy;
             sweep.push_back(std::move(cell));
         }

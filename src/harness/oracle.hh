@@ -9,9 +9,10 @@
  * + attribution engine + audit log), and checks the invariants that
  * must hold for *any* structurally valid workload:
  *
- *  - capacity:     every chain tier's occupancy <= its configured
- *                  capacity at every step (fast-only excepted — its
- *                  tier is oversized by design when unsized);
+ *  - capacity:     every chain tier's occupancy <= the capacity the
+ *                  cell's Run sized it to, at every step (fast-only's
+ *                  unsized tier is oversized by design and checked as
+ *                  such);
  *  - link-conservation: migrated bytes summed over the per-link
  *                  attribution slots equal the StepStats totals — a
  *                  staged (multi-leg) migration charges each leg to

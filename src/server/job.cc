@@ -1,6 +1,8 @@
 #include "server/job.hh"
 
+#include <cmath>
 #include <cstdlib>
+#include <limits>
 
 #include "common/logging.hh"
 #include "harness/experiment.hh"
@@ -91,8 +93,18 @@ JobSpec::parse(const std::string &text)
         } else if (key == "prio") {
             spec.priority = parseInt(key, val);
         } else if (key == "arrival-ms") {
-            spec.arrival = static_cast<Tick>(parseDouble(key, val) *
-                                             static_cast<double>(kMsec));
+            // Checked before the cast, and written so NaN fails too:
+            // only a finite, non-negative, in-range value has a Tick.
+            double ticks =
+                parseDouble(key, val) * static_cast<double>(kMsec);
+            if (!(std::isfinite(ticks) && ticks >= 0.0 &&
+                  ticks < static_cast<double>(
+                              std::numeric_limits<Tick>::max())))
+                throw harness::ConfigError(strprintf(
+                    "job spec: arrival-ms must be finite and >= 0 (got "
+                    "'%s')",
+                    val.c_str()));
+            spec.arrival = static_cast<Tick>(ticks);
         } else if (key == "steps") {
             spec.steps = parseInt(key, val);
         } else if (key == "warmup") {
@@ -110,10 +122,8 @@ JobSpec::parse(const std::string &text)
     if (spec.priority < 1)
         throw harness::ConfigError(strprintf(
             "job spec: prio must be >= 1 (got %d)", spec.priority));
-    if (spec.arrival < 0)
-        throw harness::ConfigError("job spec: arrival-ms must be >= 0");
     if (spec.quota_bytes == 0 &&
-        (spec.quota_fraction <= 0.0 || spec.quota_fraction > 1.0))
+        !(spec.quota_fraction > 0.0 && spec.quota_fraction <= 1.0))
         throw harness::ConfigError(strprintf(
             "job spec: quota fraction must lie in (0, 1] (got %g)",
             spec.quota_fraction));

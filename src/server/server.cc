@@ -72,7 +72,7 @@ runSolo(const ServerConfig &cfg, const JobSpec &spec, JobResult &out)
         trace = harness::runExperimentSteps(ec, spec.policy);
     } catch (const harness::ConfigError &e) {
         out.status = JobStatus::Rejected;
-        out.detail = strprintf("quota unusable: %s", e.what());
+        out.detail = strprintf("rejected: %s", e.what());
         return false;
     } catch (const std::runtime_error &e) {
         out.status = JobStatus::Infeasible;

@@ -26,16 +26,9 @@ struct Rig {
                  df::Graph g = sentinel::testing::makeToyGraph())
         : graph(std::move(g)),
           cfg(core::RuntimeConfig::optane(fast_bytes)),
-          profile(runProfile()), hm(cfg.tierChain(), cfg.linkChain())
+          profile(core::profileStep(graph, cfg)),
+          hm(cfg.tierChain(), cfg.linkChain())
     {
-    }
-
-    prof::ProfileResult
-    runProfile()
-    {
-        mem::HeterogeneousMemory phm(cfg.tierChain(), cfg.linkChain());
-        prof::Profiler p(cfg.profiler);
-        return p.profile(graph, phm, cfg.exec);
     }
 
     df::StepStats

@@ -20,16 +20,9 @@ struct Rig {
     explicit Rig(std::uint64_t fast_bytes,
                  df::Graph g = sentinel::testing::makeToyGraph())
         : graph(std::move(g)), cfg(RuntimeConfig::optane(fast_bytes)),
-          profile(runProfile()), hm(cfg.tierChain(), cfg.linkChain())
+          profile(profileStep(graph, cfg)),
+          hm(cfg.tierChain(), cfg.linkChain())
     {
-    }
-
-    prof::ProfileResult
-    runProfile()
-    {
-        mem::HeterogeneousMemory phm(cfg.tierChain(), cfg.linkChain());
-        prof::Profiler p(cfg.profiler);
-        return p.profile(graph, phm, cfg.exec);
     }
 };
 

@@ -10,11 +10,11 @@
 
 #include <gtest/gtest.h>
 
+#include "core/runtime.hh"
 #include "core/sentinel_policy.hh"
 #include "harness/experiment.hh"
 #include "mem/hm.hh"
 #include "models/registry.hh"
-#include "profile/profiler.hh"
 #include "sim/fault_injector.hh"
 #include "telemetry/chrome_trace.hh"
 #include "telemetry/session.hh"
@@ -66,10 +66,12 @@ TEST(Chaos, SameSeedIsBitIdenticalSerialAndParallel)
 {
     ExperimentConfig cfg = chaosConfig(
         "bw:step=4,factor=0.4;jitter:step=2,amp=0.15;stall:step=6,ms=1");
-    const auto &pols = cpuPolicies();
-    std::vector<Metrics> serial = runAll(cfg, pols);
-    std::vector<Metrics> again = runAll(cfg, pols);
-    std::vector<Metrics> par = runAllParallel(cfg, pols, 4);
+    std::vector<SweepCell> cells;
+    for (const auto &p : cpuPolicies())
+        cells.push_back({ cfg, p });
+    std::vector<Metrics> serial = runSweep(cells, 1);
+    std::vector<Metrics> again = runSweep(cells, 1);
+    std::vector<Metrics> par = runSweep(cells, 4);
     ASSERT_EQ(serial.size(), par.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         expectIdentical(serial[i], again[i]);
@@ -135,9 +137,7 @@ TEST(Chaos, ReplanConvergesNearFaultedProfileReference)
     rc.fast.capacity = static_cast<std::uint64_t>(
                            static_cast<double>(fast) * 0.7) /
                        mem::kPageSize * mem::kPageSize;
-    mem::HeterogeneousMemory phm(rc.tierChain(), rc.linkChain());
-    prof::Profiler profiler(rc.profiler);
-    auto profile = profiler.profile(g, phm, rc.exec);
+    auto profile = core::profileStep(g, rc);
     core::SentinelPolicy pol(profile.db, rc.sentinel);
     mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
     df::Executor ex(g, hm, rc.exec, pol);

@@ -1,10 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
+#include <sstream>
 
 #include "harness/experiment.hh"
+#include "harness/oracle.hh"
 #include "mem/page.hh"
 #include "models/registry.hh"
+#include "profile/serialize.hh"
 
 namespace sentinel::harness {
 namespace {
@@ -123,8 +127,19 @@ TEST(Harness, SentinelMaxBatchBeatsTf)
 
 TEST(Harness, UnknownPolicyIsFatal)
 {
-    EXPECT_THROW(runExperiment(smallConfig(), "tcmalloc"),
-                 std::runtime_error);
+    // Rejected by validate(), before any model is built: even a model
+    // that cannot build reports the policy.
+    EXPECT_THROW(runExperiment(smallConfig(), "tcmalloc"), ConfigError);
+    ExperimentConfig cfg = smallConfig();
+    cfg.model = "no-such-model";
+    try {
+        runExperiment(cfg, "tcmalloc");
+        ADD_FAILURE() << "unknown policy accepted";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("tcmalloc"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 TEST(Harness, RejectsNonPositiveBatchAndSteps)
@@ -222,6 +237,111 @@ TEST(Harness, RejectsReservedPoolConsumingWholeTier)
     }
 }
 
+TEST(Harness, OracleRejectsWhatTheHarnessRejects)
+{
+    // Every invalid configuration of the Rejects* cases above (plus
+    // NtierDegradation.SubPageMidTierIsRejected): the oracle shares the
+    // harness's preconditions, so each one is a ConfigError there too,
+    // never a violation or a run error.
+    std::vector<std::pair<std::string, ExperimentConfig>> bad;
+    auto add = [&](std::string why,
+                   const std::function<void(ExperimentConfig &)> &edit) {
+        ExperimentConfig cfg = smallConfig();
+        edit(cfg);
+        bad.emplace_back(std::move(why), cfg);
+    };
+    add("batch 0", [](ExperimentConfig &c) { c.batch = 0; });
+    add("steps 0", [](ExperimentConfig &c) { c.steps = 0; });
+    add("warmup == steps",
+        [](ExperimentConfig &c) { c.warmup = c.steps; });
+    add("warmup -1", [](ExperimentConfig &c) { c.warmup = -1; });
+    for (const char *name : { "synthetic:1:bp=nan", "synthetic:abc",
+                              "no-such-model" })
+        add(name, [name](ExperimentConfig &c) { c.model = name; });
+    add("planner ilp", [](ExperimentConfig &c) { c.planner = "ilp"; });
+    add("tiers 0", [](ExperimentConfig &c) { c.tiers = 0; });
+    add("sub-page fast tier",
+        [](ExperimentConfig &c) { c.fast_bytes = mem::kPageSize - 1; });
+    add("fast_fraction 0", [](ExperimentConfig &c) { c.fast_fraction = 0; });
+    add("sub-page mid tier", [](ExperimentConfig &c) {
+        c.tiers = 3;
+        c.mid_bytes = mem::kPageSize - 1;
+    });
+    add("pool consumes the tier",
+        [](ExperimentConfig &c) { c.fast_bytes = mem::kPageSize; });
+    add("rs_cap_fraction 1.5",
+        [](ExperimentConfig &c) { c.sentinel.rs_cap_fraction = 1.5; });
+    for (double v : kNonFinite) {
+        add("fast_fraction " + std::to_string(v),
+            [v](ExperimentConfig &c) { c.fast_fraction = v; });
+        add("mid_fraction " + std::to_string(v), [v](ExperimentConfig &c) {
+            c.tiers = 3;
+            c.mid_fraction = v;
+        });
+        add("mid_bw " + std::to_string(v), [v](ExperimentConfig &c) {
+            c.tiers = 3;
+            c.mid_bw = v;
+        });
+        add("rs_cap_fraction " + std::to_string(v),
+            [v](ExperimentConfig &c) { c.sentinel.rs_cap_fraction = v; });
+    }
+
+    OracleOptions opts;
+    opts.run_gpu = false;
+    opts.check_determinism = false;
+    for (const auto &[why, cfg] : bad) {
+        EXPECT_THROW(runExperiment(cfg, "sentinel"), ConfigError) << why;
+        EXPECT_THROW(runOracle(cfg, opts), ConfigError) << why;
+    }
+}
+
+void
+expectIdenticalSteps(const std::vector<df::StepStats> &a,
+                     const std::vector<df::StepStats> &b)
+{
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "step " << i);
+        EXPECT_EQ(a[i].step_time, b[i].step_time);
+        EXPECT_EQ(a[i].compute_time, b[i].compute_time);
+        EXPECT_EQ(a[i].mem_time, b[i].mem_time);
+        EXPECT_EQ(a[i].exposed_migration, b[i].exposed_migration);
+        EXPECT_EQ(a[i].policy_time, b[i].policy_time);
+        EXPECT_EQ(a[i].bytes_fast, b[i].bytes_fast);
+        EXPECT_EQ(a[i].bytes_slow, b[i].bytes_slow);
+        EXPECT_EQ(a[i].slow_bytes_by_kind, b[i].slow_bytes_by_kind);
+        EXPECT_EQ(a[i].promoted_bytes, b[i].promoted_bytes);
+        EXPECT_EQ(a[i].demoted_bytes, b[i].demoted_bytes);
+        EXPECT_EQ(a[i].peak_tier_used, b[i].peak_tier_used);
+        EXPECT_EQ(a[i].num_stalls, b[i].num_stalls);
+    }
+}
+
+TEST(Harness, RunFromSavedProfileMatchesSelfProfiledRun)
+{
+    // The `sentinel-cli profile --in` path: a profile persisted and
+    // loaded back drives a Run exactly like the one it came from.
+    ExperimentConfig cfg = smallConfig();
+    harness::Run self(cfg, "sentinel");
+    ASSERT_NE(self.profile(), nullptr);
+    std::stringstream buf;
+    ASSERT_TRUE(prof::saveProfile(self.profile()->db, buf));
+    prof::ProfileDatabase db = prof::loadProfile(buf);
+
+    harness::Run loaded(cfg, "sentinel", &db);
+    EXPECT_EQ(loaded.profile(), nullptr); // no profiling step of its own
+    StepTrace a = self.finish();
+    StepTrace b = loaded.finish();
+    ASSERT_FALSE(a.steps.empty());
+    expectIdenticalSteps(a.steps, b.steps);
+    EXPECT_EQ(a.metrics.mil, b.metrics.mil);
+    EXPECT_EQ(a.metrics.step_time_ms, b.metrics.step_time_ms);
+
+    // A profile of another graph is a rejected input.
+    cfg.model = "resnet32";
+    EXPECT_THROW(harness::Run(cfg, "sentinel", &db), ConfigError);
+}
+
 TEST(Harness, ConfigErrorIsDistinguishableFromRunFailures)
 {
     // ConfigError means "the experiment was never meaningful", so it
@@ -269,11 +389,20 @@ expectIdenticalMetrics(const Metrics &a, const Metrics &b)
     EXPECT_EQ(a.pool_mb, b.pool_mb);
 }
 
-TEST(Harness, ParallelRunAllMatchesSerialExactly)
+std::vector<SweepCell>
+everyCpuPolicy(const ExperimentConfig &cfg)
 {
-    ExperimentConfig cfg = smallConfig();
-    auto serial = runAll(cfg, cpuPolicies());
-    auto parallel = runAllParallel(cfg, cpuPolicies(), 4);
+    std::vector<SweepCell> cells;
+    for (const auto &p : cpuPolicies())
+        cells.push_back({ cfg, p });
+    return cells;
+}
+
+TEST(Harness, ParallelSweepMatchesSerialExactly)
+{
+    std::vector<SweepCell> cells = everyCpuPolicy(smallConfig());
+    auto serial = runSweep(cells, 1);
+    auto parallel = runSweep(cells, 4);
     ASSERT_EQ(serial.size(), parallel.size());
     for (std::size_t i = 0; i < serial.size(); ++i) {
         SCOPED_TRACE(cpuPolicies()[i]);

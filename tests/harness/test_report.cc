@@ -17,14 +17,10 @@
 #include <string>
 #include <vector>
 
-#include "core/runtime.hh"
-#include "core/sentinel_policy.hh"
 #include "dataflow/executor.hh"
 #include "harness/experiment.hh"
 #include "harness/report.hh"
-#include "mem/hm.hh"
 #include "models/registry.hh"
-#include "profile/profiler.hh"
 
 using namespace sentinel;
 
@@ -42,23 +38,14 @@ runCase(df::Executor::AccessMode mode)
 {
     auto out = std::make_unique<CaseResult>();
 
-    df::Graph graph = models::makeModel("resnet20", 8);
-    std::uint64_t fast =
-        mem::roundUpToPages(graph.peakMemoryBytes() / 5);
-    auto cfg = core::RuntimeConfig::optane(fast);
-
-    mem::HeterogeneousMemory prof_hm(cfg.tierChain(), cfg.linkChain());
-    prof::Profiler profiler(cfg.profiler);
-    auto profile = profiler.profile(graph, prof_hm, cfg.exec);
-
-    core::SentinelPolicy policy(profile.db);
-    policy.setAudit(&out->audit);
-    mem::HeterogeneousMemory hm(cfg.tierChain(), cfg.linkChain());
-    hm.setAttribution(&out->attr);
-    df::Executor ex(graph, hm, cfg.exec, policy);
-    ex.setAccessMode(mode);
-    ex.setAttribution(&out->attr);
-    out->stats = ex.run(4);
+    harness::ExperimentConfig cfg;
+    cfg.model = "resnet20";
+    cfg.batch = 8;
+    cfg.attribution = &out->attr;
+    cfg.audit = &out->audit;
+    harness::Run run(cfg, "sentinel");
+    run.executor().setAccessMode(mode);
+    out->stats = run.executor().run(4);
     return out;
 }
 

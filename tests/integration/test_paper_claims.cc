@@ -10,9 +10,7 @@
 #include <gtest/gtest.h>
 
 #include "harness/experiment.hh"
-#include "mem/hm.hh"
 #include "models/registry.hh"
-#include "profile/profiler.hh"
 
 namespace sentinel {
 namespace {
@@ -101,10 +99,7 @@ TEST(PaperClaims, ProfilingOverheadBounds)
     // Sec. VII-B: profiling extends one step by up to ~5x; memory
     // overhead stays within a few percent.
     df::Graph g = models::makeModel("resnet32", 16);
-    auto cfg = core::RuntimeConfig::optane(1ull << 30);
-    mem::HeterogeneousMemory hm(cfg.tierChain(), cfg.linkChain());
-    prof::Profiler profiler(cfg.profiler);
-    auto r = profiler.profile(g, hm, cfg.exec);
+    auto r = core::profileStep(g, core::RuntimeConfig::optane(1ull << 30));
     EXPECT_GT(r.profilingSlowdown(), 2.0);
     EXPECT_LT(r.profilingSlowdown(), 8.0);
     EXPECT_LT(r.memoryOverhead(), 0.05);

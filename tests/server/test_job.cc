@@ -69,6 +69,17 @@ TEST(JobSpec, RejectsMalformedInput)
     EXPECT_THROW(JobSpec::parse("arrival-ms=-1"), harness::ConfigError);
     EXPECT_THROW(JobSpec::parse("quota=0"), harness::ConfigError);
     EXPECT_THROW(JobSpec::parse("quota=1.5"), harness::ConfigError);
+    // strtod accepts these; NaN passes a plain `<= 0 || > 1` check and
+    // would reach an integer cast.
+    for (const char *v : { "nan", "inf", "-inf" }) {
+        EXPECT_THROW(JobSpec::parse(std::string("quota=") + v),
+                     harness::ConfigError)
+            << v;
+        EXPECT_THROW(JobSpec::parse(std::string("arrival-ms=") + v),
+                     harness::ConfigError)
+            << v;
+    }
+    EXPECT_THROW(JobSpec::parse("arrival-ms=1e300"), harness::ConfigError);
 }
 
 TEST(JobSpec, SpecStringRoundTrips)

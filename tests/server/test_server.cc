@@ -75,6 +75,19 @@ TEST(Server, SingleMigratingJobDilatesAtMostByItsOwnDma)
     EXPECT_EQ(r.promoted_bytes, solo_promoted);
 }
 
+TEST(Server, UnknownPolicyJobIsRejected)
+{
+    // An unknown policy is a rejected input, not an infeasible run.
+    JobSpec bad = job("resnet32", 0.3);
+    bad.policy = "tcmalloc";
+    ServerResult r =
+        runServer(nodeConfig(), { bad, job("synthetic:9", 0.3) });
+    EXPECT_EQ(r.jobs[0].status, JobStatus::Rejected) << r.jobs[0].detail;
+    EXPECT_NE(r.jobs[0].detail.find("tcmalloc"), std::string::npos)
+        << r.jobs[0].detail;
+    EXPECT_EQ(r.jobs[1].status, JobStatus::Completed) << r.jobs[1].detail;
+}
+
 TEST(Server, ExactQuotaPackingAdmitsBothHalves)
 {
     ServerConfig cfg = nodeConfig();

@@ -182,9 +182,7 @@ runTinyGraphTrace(telemetry::Session &session, telemetry::AuditLog &audit)
         mem::roundUpToPages(graph.peakMemoryBytes() / 3);
     auto cfg = core::RuntimeConfig::optane(fast);
 
-    mem::HeterogeneousMemory prof_hm(cfg.tierChain(), cfg.linkChain());
-    prof::Profiler profiler(cfg.profiler);
-    auto profile = profiler.profile(graph, prof_hm, cfg.exec);
+    auto profile = core::profileStep(graph, cfg);
 
     core::SentinelPolicy policy(profile.db);
     policy.setTelemetry(&session);

@@ -32,22 +32,13 @@
 #include <cstring>
 #include <fstream>
 #include <map>
-#include <memory>
-#include <optional>
-#include <sstream>
 #include <string>
 #include <vector>
 
-#include "baselines/ial.hh"
 #include "common/alloc_hook.hh"
 #include "common/logging.hh"
-#include "core/sentinel_policy.hh"
 #include "dataflow/executor.hh"
 #include "harness/experiment.hh"
-#include "mem/hm.hh"
-#include "mem/page.hh"
-#include "models/registry.hh"
-#include "profile/profiler.hh"
 #include "telemetry/session.hh"
 #include "telemetry/timeseries.hh"
 
@@ -88,10 +79,9 @@ cellConfig(const std::string &model)
 
 /**
  * Heap allocations per steady-state training step, counted by the
- * sentinel_alloc_hook operator-new replacement around warm steps of a
- * manually assembled cell (the same model / fast-tier sizing / step
- * schedule as cellConfig, minus the harness wrapper so setup and
- * teardown allocations stay outside the counted window).  Returns -1
+ * sentinel_alloc_hook operator-new replacement around warm steps of
+ * the cellConfig cell.  The Run is driven step by step so setup and
+ * teardown allocations stay outside the counted window.  Returns -1
  * when the hook is not live (sanitizer builds), and the key is then
  * omitted.
  */
@@ -101,33 +91,6 @@ measureAllocsPerStep(const std::string &model, const std::string &policy)
     if (!common::allocHookActive())
         return -1.0;
 
-    harness::ExperimentConfig cfg = cellConfig(model);
-    df::Graph graph = models::makeModel(cfg.model, cfg.batch);
-    std::uint64_t fast_bytes = mem::roundUpToPages(
-        static_cast<std::uint64_t>(
-            static_cast<double>(graph.peakMemoryBytes()) *
-            cfg.fast_fraction));
-    core::RuntimeConfig rc =
-        harness::platformConfig(cfg.platform, fast_bytes);
-
-    std::optional<prof::ProfileResult> profile;
-    std::unique_ptr<df::MemoryPolicy> pol;
-    if (policy == "sentinel") {
-        mem::HeterogeneousMemory prof_hm(rc.tierChain(), rc.linkChain());
-        prof::Profiler profiler(rc.profiler);
-        profile = profiler.profile(graph, prof_hm, rc.exec);
-        pol = std::make_unique<core::SentinelPolicy>(profile->db,
-                                                     cfg.sentinel);
-    } else if (policy == "ial") {
-        pol = std::make_unique<baselines::IalPolicy>();
-    } else {
-        SENTINEL_FATAL("allocs_per_step: unsupported policy '%s'",
-                       policy.c_str());
-    }
-
-    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
-    df::Executor ex(graph, hm, rc.exec, *pol);
-
     // The live observability plane rides along: its per-step feed
     // (event ring, cached counters, the step board's series pushes)
     // is part of the zero-allocation promise — only scrapes may
@@ -135,7 +98,10 @@ measureAllocsPerStep(const std::string &model, const std::string &policy)
     telemetry::Session session;
     telemetry::StepBoard board;
     session.attachStepBoard(&board);
-    ex.setTelemetry(&session);
+    harness::ExperimentConfig cfg = cellConfig(model);
+    cfg.telemetry = &session;
+    harness::Run run(cfg, policy);
+    df::Executor &ex = run.executor();
 
     ex.run(cfg.warmup);
 
@@ -148,21 +114,29 @@ measureAllocsPerStep(const std::string &model, const std::string &policy)
            static_cast<double>(measured);
 }
 
+/** The simulated metrics of one cell, keyed under @p prefix. */
+void
+addSimMetrics(std::vector<Sample> &out, const std::string &prefix,
+              const harness::ExperimentConfig &cfg,
+              const std::string &policy)
+{
+    harness::Metrics m = harness::runExperiment(cfg, policy);
+    SENTINEL_ASSERT(m.supported, "baseline cell %s/%s unsupported",
+                    cfg.model.c_str(), policy.c_str());
+    out.push_back({ prefix + "step_time_ms", m.step_time_ms, 0.25, 0.05 });
+    out.push_back({ prefix + "throughput", m.throughput, 0.25, 0.0,
+                    /*higher=*/true });
+    out.push_back({ prefix + "exposed_ms", m.exposed_ms, 0.25, 0.05 });
+    out.push_back({ prefix + "migrated_mb", m.migrated_mb(), 0.25, 1.0 });
+    out.push_back({ prefix + "peak_fast_mb", m.peak_fast_mb, 0.25, 1.0 });
+}
+
 void
 addCell(std::vector<Sample> &out, const std::string &model,
         const std::string &policy)
 {
-    harness::ExperimentConfig cfg = cellConfig(model);
-    harness::Metrics m = harness::runExperiment(cfg, policy);
-    SENTINEL_ASSERT(m.supported, "baseline cell %s/%s unsupported",
-                    model.c_str(), policy.c_str());
     std::string p = "sim." + model + "." + policy + ".";
-    out.push_back({ p + "step_time_ms", m.step_time_ms, 0.25, 0.05 });
-    out.push_back(
-        { p + "throughput", m.throughput, 0.25, 0.0, /*higher=*/true });
-    out.push_back({ p + "exposed_ms", m.exposed_ms, 0.25, 0.05 });
-    out.push_back({ p + "migrated_mb", m.migrated_mb(), 0.25, 1.0 });
-    out.push_back({ p + "peak_fast_mb", m.peak_fast_mb, 0.25, 1.0 });
+    addSimMetrics(out, p, cellConfig(model), policy);
     // Allocation counts are deterministic in a single-threaded run;
     // the slack absorbs the occasional amortized container growth.
     double allocs = measureAllocsPerStep(model, policy);
@@ -214,16 +188,8 @@ addNtierCell(std::vector<Sample> &out, const std::string &model,
 {
     harness::ExperimentConfig cfg = cellConfig(model);
     cfg.tiers = 3;
-    harness::Metrics m = harness::runExperiment(cfg, policy);
-    SENTINEL_ASSERT(m.supported, "ntier cell %s/%s unsupported",
-                    model.c_str(), policy.c_str());
-    std::string p = "sim.ntier3." + model + "." + policy + ".";
-    out.push_back({ p + "step_time_ms", m.step_time_ms, 0.25, 0.05 });
-    out.push_back(
-        { p + "throughput", m.throughput, 0.25, 0.0, /*higher=*/true });
-    out.push_back({ p + "exposed_ms", m.exposed_ms, 0.25, 0.05 });
-    out.push_back({ p + "migrated_mb", m.migrated_mb(), 0.25, 1.0 });
-    out.push_back({ p + "peak_fast_mb", m.peak_fast_mb, 0.25, 1.0 });
+    addSimMetrics(out, "sim.ntier3." + model + "." + policy + ".", cfg,
+                  policy);
 }
 
 std::vector<Sample>

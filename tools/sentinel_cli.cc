@@ -38,6 +38,7 @@
  */
 
 #include <algorithm>
+#include <charconv>
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
@@ -46,6 +47,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "bench_util.hh"
@@ -53,7 +55,7 @@
 #include "harness/report.hh"
 #include "core/interval_planner.hh"
 #include "core/sentinel_policy.hh"
-#include "mem/hm.hh"
+#include "mem/page.hh"
 #include "plan/offset_planner.hh"
 #include "profile/profiler.hh"
 #include "profile/serialize.hh"
@@ -110,18 +112,52 @@ class Args
     int
     getInt(const std::string &key, int dflt) const
     {
-        auto it = values_.find(key);
-        return it == values_.end() ? dflt : std::atoi(it->second.c_str());
+        return number(key, dflt);
     }
 
     double
     getDouble(const std::string &key, double dflt) const
     {
-        auto it = values_.find(key);
-        return it == values_.end() ? dflt : std::atof(it->second.c_str());
+        return number(key, dflt);
+    }
+
+    /** Decimal, or hex with a 0x prefix (seeds print as hex). */
+    std::uint64_t
+    getU64(const std::string &key, std::uint64_t dflt) const
+    {
+        return number(key, dflt);
     }
 
   private:
+    /**
+     * The whole value of --key as a T, or @p dflt when the key is
+     * absent.  Empty input, trailing garbage ("8abc"), and overflow
+     * are a ConfigError, never a silent prefix parse.
+     */
+    template <typename T>
+    T
+    number(const std::string &key, T dflt) const
+    {
+        auto it = values_.find(key);
+        if (it == values_.end())
+            return dflt;
+        const std::string &v = it->second;
+        const char *last = v.data() + v.size();
+        T out{};
+        std::from_chars_result r{};
+        if constexpr (std::is_unsigned_v<T>)
+            r = v.rfind("0x", 0) == 0
+                    ? std::from_chars(v.data() + 2, last, out, 16)
+                    : std::from_chars(v.data(), last, out);
+        else
+            r = std::from_chars(v.data(), last, out);
+        if (v.empty() || r.ec != std::errc() || r.ptr != last)
+            throw harness::ConfigError(
+                strprintf("--%s wants a number, got '%s'", key.c_str(),
+                          v.c_str()));
+        return out;
+    }
+
     std::map<std::string, std::string> values_;
 };
 
@@ -151,9 +187,7 @@ configFrom(const Args &args)
     cfg.sentinel.forced_mil = args.getInt("mil", 0);
     cfg.planner = args.get("planner", "greedy");
     cfg.chaos = args.get("chaos", "");
-    std::string seed = args.get("chaos-seed", "");
-    if (!seed.empty())
-        cfg.chaos_seed = std::strtoull(seed.c_str(), nullptr, 0);
+    cfg.chaos_seed = args.getU64("chaos-seed", cfg.chaos_seed);
     return cfg;
 }
 
@@ -216,7 +250,8 @@ cmdRun(const Args &args)
         cfg.telemetry = &*session;
     }
 
-    harness::Metrics m = harness::runExperiment(cfg, policy);
+    harness::Run run(cfg, policy);
+    harness::Metrics m = run.finish().metrics;
     printMetrics(m);
     if (m.mil > 0) {
         std::printf("sentinel: MIL=%d pool=%.1fMB case3=%d trials=%d\n",
@@ -228,11 +263,9 @@ cmdRun(const Args &args)
     }
 
     if (session) {
-        // Rebuild the (deterministic) graph to resolve op/tensor names.
-        df::Graph g = models::makeModel(cfg.model, cfg.batch);
         if (!trace_out.empty()) {
             if (!telemetry::saveChromeTrace(session->events(), trace_out,
-                                            graphLabeler(g)))
+                                            graphLabeler(run.graph())))
                 SENTINEL_FATAL("could not write '%s'", trace_out.c_str());
             std::printf("trace written to %s (%zu events, %llu dropped); "
                         "open in https://ui.perfetto.dev\n",
@@ -278,7 +311,8 @@ cmdReport(const Args &args)
     telemetry::Session session(tcfg);
     cfg.telemetry = &session;
 
-    harness::StepTrace tr = harness::runExperimentSteps(cfg, policy);
+    harness::Run run(cfg, policy);
+    harness::StepTrace tr = run.finish();
     if (!tr.metrics.supported) {
         std::printf("%s unsupported on %s; nothing to attribute\n",
                     policy.c_str(), cfg.model.c_str());
@@ -286,7 +320,7 @@ cmdReport(const Args &args)
     }
     session.syncDropCounter();
 
-    df::Graph g = models::makeModel(cfg.model, cfg.batch);
+    const df::Graph &g = run.graph();
     printMetrics(tr.metrics);
     std::printf("\n%s",
                 harness::buildStallReport(g, attr, audit, ropts).c_str());
@@ -298,8 +332,7 @@ cmdReport(const Args &args)
         std::printf("event cross-check: %s\n", why.c_str());
 
     if (!tensor_arg.empty()) {
-        auto id = static_cast<std::uint32_t>(
-            std::strtoul(tensor_arg.c_str(), nullptr, 0));
+        auto id = static_cast<std::uint32_t>(args.getU64("tensor", 0));
         std::printf("\n%s",
                     harness::auditHistory(g, audit, id).c_str());
     }
@@ -335,7 +368,10 @@ cmdCompare(const Args &args)
     const auto &policies = cfg.platform == harness::Platform::Gpu
                                ? harness::gpuPolicies()
                                : harness::cpuPolicies();
-    for (const auto &m : harness::runAllParallel(cfg, policies, jobs))
+    std::vector<harness::SweepCell> cells;
+    for (const auto &p : policies)
+        cells.push_back({ cfg, p });
+    for (const auto &m : harness::runSweep(cells, jobs))
         printMetrics(m);
     return 0;
 }
@@ -366,10 +402,7 @@ cmdPlan(const Args &args)
         harness::fastTierBytes(cfg, g.peakMemoryBytes());
     core::RuntimeConfig rc =
         harness::platformConfig(cfg.platform, fast);
-
-    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
-    prof::Profiler profiler(rc.profiler);
-    auto profile = profiler.profile(g, hm, rc.exec);
+    prof::ProfileResult profile = core::profileStep(g, rc);
 
     core::PlannerInputs in;
     in.db = &profile.db;
@@ -487,36 +520,23 @@ cmdProfile(const Args &args)
 
     if (!in.empty()) {
         // Reuse a persisted profile: plan and train without the
-        // instrumented step.
+        // instrumented step, on the same platform and Sentinel options
+        // as `run` (--fraction or --mem-mb, --platform, --mil,
+        // --planner).
         prof::ProfileDatabase db = prof::loadProfile(in);
-        df::Graph g = models::makeModel(cfg.model, cfg.batch);
-        SENTINEL_ASSERT(db.numTensors() == g.numTensors() &&
-                            db.numLayers() == g.numLayers(),
-                        "profile '%s' does not match %s at batch %d",
-                        in.c_str(), cfg.model.c_str(), cfg.batch);
-        // Same platform and Sentinel options as `run`: --fraction or
-        // --mem-mb, --platform, --mil, --planner.
-        std::uint64_t fast =
-            harness::fastTierBytes(cfg, g.peakMemoryBytes());
-        core::RuntimeConfig rc =
-            harness::platformConfig(cfg.platform, fast);
-        mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
-        core::SentinelPolicy policy(db, harness::sentinelOptions(cfg));
-        df::Executor ex(g, hm, rc.exec, policy);
-        auto stats = ex.run(cfg.steps);
+        harness::Run run(cfg, "sentinel", &db);
+        auto stats = run.executor().run(cfg.steps);
         std::printf("trained %d steps from persisted profile: %.2f "
                     "ms/step steady (MIL=%d)\n",
                     cfg.steps, toMillis(stats.back().step_time),
-                    policy.migrationPlan().mil);
+                    run.sentinel()->migrationPlan().mil);
         return 0;
     }
 
     df::Graph g = models::makeModel(cfg.model, cfg.batch);
     core::RuntimeConfig rc = harness::platformConfig(
         cfg.platform, mem::roundUpToPages(g.peakMemoryBytes() / 5));
-    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
-    prof::Profiler profiler(rc.profiler);
-    auto r = profiler.profile(g, hm, rc.exec);
+    prof::ProfileResult r = core::profileStep(g, rc);
     std::printf("profiled %s (batch %d): %zu tensors, slowdown %.1fx, "
                 "memory overhead %.2f%%\n",
                 cfg.model.c_str(), cfg.batch, r.db.numTensors(),
@@ -680,8 +700,7 @@ cmdServe(const Args &args)
         specs = server::JobSpec::parseList(colo);
     } else {
         int mix = args.getInt("mix", 3);
-        std::uint64_t seed = std::strtoull(
-            args.get("seed", "1").c_str(), nullptr, 0);
+        std::uint64_t seed = args.getU64("seed", 1);
         specs = server::randomColocation(seed, mix);
         std::printf("random co-location (seed %llu):\n",
                     static_cast<unsigned long long>(seed));
