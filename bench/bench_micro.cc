@@ -63,11 +63,8 @@ BM_MigrateBatch(benchmark::State &state)
 {
     auto hm = makeHm(4ull << 30);
     const std::size_t n = static_cast<std::size_t>(state.range(0));
-    std::vector<mem::PageId> pages(n);
-    for (std::size_t i = 0; i < n; ++i) {
-        pages[i] = i;
-        hm.tryMapPage(i, mem::Tier::Slow);
-    }
+    const mem::PageRun pages[] = { { 0, n } };
+    hm.mapRange(0, n, mem::Tier::Slow);
     Tick now = 0;
     for (auto _ : state) {
         hm.migratePages(pages, mem::Tier::Fast, now);

@@ -1,6 +1,5 @@
 #include "baselines/ial.hh"
 
-#include <array>
 #include <vector>
 
 namespace sentinel::baselines {
@@ -55,7 +54,7 @@ IalPolicy::evictForSpace(df::Executor &ex, std::uint64_t bytes_needed)
     mem::HeterogeneousMemory &hm = ex.hm();
     Tick now = ex.now();
 
-    std::vector<mem::PageId> victims;
+    std::vector<mem::PageRun> victims;
     std::uint64_t reclaimed = 0;
     while (reclaimed < bytes_needed && !fifo_.empty()) {
         mem::PageId head = fifo_.front();
@@ -66,7 +65,7 @@ IalPolicy::evictForSpace(df::Executor &ex, std::uint64_t bytes_needed)
             hm.residentTier(head, now) != mem::Tier::Fast ||
             hm.inFlight(head, now))
             continue;
-        victims.push_back(head);
+        mem::appendPage(victims, head);
         reclaimed += mem::kPageSize;
     }
     // Background demotion: space becomes free when transfers land.
@@ -122,8 +121,7 @@ IalPolicy::onPageAccess(df::Executor &ex, mem::PageId page, bool)
     if (hm.tier(mem::Tier::Fast).free() < mem::kPageSize)
         evictForSpace(ex, 16 * mem::kPageSize);
 
-    std::array<mem::PageId, 1> one{ page };
-    if (hm.migratePages(one, mem::Tier::Fast, now) == 1) {
+    if (hm.migratePage(page, mem::Tier::Fast, now) >= 0) {
         ++promotions_;
         slow_touches_.erase(page);
         noteFastPage(page);

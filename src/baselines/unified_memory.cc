@@ -1,6 +1,5 @@
 #include "baselines/unified_memory.hh"
 
-#include <array>
 #include <vector>
 
 namespace sentinel::baselines {
@@ -62,7 +61,7 @@ UnifiedMemoryPolicy::evictLru(df::Executor &ex,
 {
     mem::HeterogeneousMemory &hm = ex.hm();
     Tick now = ex.now();
-    std::vector<mem::PageId> victims;
+    std::vector<mem::PageRun> victims;
     std::uint64_t reclaimed = 0;
     while (reclaimed < bytes_needed && !lru_.empty()) {
         mem::PageId victim = lru_.front();
@@ -72,7 +71,7 @@ UnifiedMemoryPolicy::evictLru(df::Executor &ex,
             hm.residentTier(victim, now) != mem::Tier::Fast ||
             hm.inFlight(victim, now))
             continue;
-        victims.push_back(victim);
+        mem::appendPage(victims, victim);
         reclaimed += mem::kPageSize;
     }
     // cudaMemPrefetchAsync back to the host: the far end of the chain.
@@ -137,9 +136,9 @@ UnifiedMemoryPolicy::onPageAccess(df::Executor &ex, mem::PageId page,
     if (hm.tier(mem::Tier::Fast).free() < mem::kPageSize)
         evictLru(ex, 32 * mem::kPageSize);
 
-    std::array<mem::PageId, 1> one{ page };
-    if (hm.migratePages(one, mem::Tier::Fast, now) == 1) {
-        out.extra += hm.arrivalTime(page) - now;
+    if (Tick arrival = hm.migratePage(page, mem::Tier::Fast, now);
+        arrival >= 0) {
+        out.extra += arrival - now;
         out.effective = mem::Tier::Fast;
         touchLru(page);
     } else {

@@ -1,7 +1,6 @@
 #include "core/sentinel_policy.hh"
 
 #include <algorithm>
-#include <array>
 #include <map>
 #include <unordered_set>
 
@@ -123,6 +122,30 @@ bool
 SentinelPolicy::isPoolPage(mem::PageId page) const
 {
     return pool_ && pool_->containsPage(page);
+}
+
+template <typename Eligible>
+std::uint64_t
+SentinelPolicy::batchRuns(mem::HeterogeneousMemory &hm,
+                          const df::TensorPlacement &pl, Tick now,
+                          Eligible eligible)
+{
+    batch_.clear();
+    // A placement lives entirely inside or outside the pool region —
+    // one check covers every page.
+    if (isPoolPage(pl.firstPage()))
+        return 0;
+    std::uint64_t pages = 0;
+    const mem::PageId end = pl.endPage();
+    for (mem::PageId p = pl.firstPage(); p < end;) {
+        mem::PageRunState rs = hm.residentRange(p, end - p, now);
+        if (!rs.in_flight && eligible(rs.tier)) {
+            batch_.push_back({ p, rs.count });
+            pages += rs.count;
+        }
+        p += rs.count;
+    }
+    return pages;
 }
 
 void
@@ -482,23 +505,9 @@ SentinelPolicy::drainPrefetchQueue(df::Executor &ex)
             pending_prefetch_.push_back(id);
             continue;
         }
-        const df::TensorPlacement &pl = ex.placementOf(id);
-        batch_.clear();
-        // Pool tensors are never migrated, and a placement lives
-        // entirely inside or outside the pool region — one check
-        // covers every page.
-        if (!isPoolPage(pl.firstPage())) {
-            mem::PageId p = pl.firstPage();
-            const mem::PageId end = pl.endPage();
-            while (p < end) {
-                mem::PageRunState rs =
-                    hm.residentRange(p, end - p, now);
-                if (rs.tier != mem::Tier::Fast && !rs.in_flight)
-                    for (std::uint64_t i = 0; i < rs.count; ++i)
-                        batch_.push_back(p + i);
-                p += rs.count;
-            }
-        }
+        const std::uint64_t wanted =
+            batchRuns(hm, ex.placementOf(id), now,
+                      [](mem::Tier t) { return t != mem::Tier::Fast; });
         // One move_pages() call per tensor: the setup cost is paid
         // once and the pages stream back-to-back.
         std::size_t scheduled =
@@ -506,7 +515,7 @@ SentinelPolicy::drainPrefetchQueue(df::Executor &ex)
         if (scheduled > 0)
             auditAppend(ex, telemetry::AuditReason::kPrefetchNextInterval,
                         id, scheduled * mem::kPageSize);
-        if (scheduled < batch_.size()) {
+        if (scheduled < wanted) {
             // Fast memory is full right now; in-flight demotions will
             // free space — retry at the next layer boundary (hotter
             // tensors stay at the queue's front).
@@ -543,16 +552,9 @@ SentinelPolicy::stagePrefetches(df::Executor &ex, int interval)
             const df::TensorPlacement &pl = ex.placementOf(id);
             if (isPoolPage(pl.firstPage()))
                 continue;
-            batch_.clear();
-            mem::PageId p = pl.firstPage();
-            const mem::PageId end = pl.endPage();
-            while (p < end) {
-                mem::PageRunState rs = hm.residentRange(p, end - p, now);
-                if (mem::tierIndex(rs.tier) > lead && !rs.in_flight)
-                    for (std::uint64_t i = 0; i < rs.count; ++i)
-                        batch_.push_back(p + i);
-                p += rs.count;
-            }
+            batchRuns(hm, pl, now, [lead](mem::Tier t) {
+                return mem::tierIndex(t) > lead;
+            });
             // Best-effort: a full middle tier simply leaves the pages
             // where they are; the direct promotion path still covers
             // them when their own interval arrives.
@@ -627,20 +629,8 @@ SentinelPolicy::evictForSpace(df::Executor &ex,
     for (df::TensorId id : evictionCandidates(ex)) {
         if (reclaimed >= bytes_needed)
             break;
-        const df::TensorPlacement &pl = ex.placementOf(id);
-        batch_.clear();
-        if (!isPoolPage(pl.firstPage())) {
-            mem::PageId p = pl.firstPage();
-            const mem::PageId end = pl.endPage();
-            while (p < end) {
-                mem::PageRunState rs =
-                    hm.residentRange(p, end - p, now);
-                if (rs.tier == mem::Tier::Fast && !rs.in_flight)
-                    for (std::uint64_t i = 0; i < rs.count; ++i)
-                        batch_.push_back(p + i);
-                p += rs.count;
-            }
-        }
+        batchRuns(hm, ex.placementOf(id), now,
+                  [](mem::Tier t) { return t == mem::Tier::Fast; });
         std::size_t scheduled =
             hm.migratePages(batch_, hm.slowestTier(), now);
         if (scheduled > 0)
@@ -659,20 +649,8 @@ SentinelPolicy::issueDemotions(df::Executor &ex, int layer)
          plan_.demote_at_layer[static_cast<std::size_t>(layer)]) {
         if (!ex.isAllocated(id))
             continue;
-        const df::TensorPlacement &pl = ex.placementOf(id);
-        batch_.clear();
-        if (!isPoolPage(pl.firstPage())) {
-            mem::PageId p = pl.firstPage();
-            const mem::PageId end = pl.endPage();
-            while (p < end) {
-                mem::PageRunState rs =
-                    hm.residentRange(p, end - p, now);
-                if (rs.tier == mem::Tier::Fast && !rs.in_flight)
-                    for (std::uint64_t i = 0; i < rs.count; ++i)
-                        batch_.push_back(p + i);
-                p += rs.count;
-            }
-        }
+        batchRuns(hm, ex.placementOf(id), now,
+                  [](mem::Tier t) { return t == mem::Tier::Fast; });
         std::size_t scheduled =
             hm.migratePages(batch_, hm.slowestTier(), now);
         if (scheduled > 0)
@@ -841,26 +819,26 @@ SentinelPolicy::onPageAccess(df::Executor &ex, mem::PageId page, bool)
                                 ? ex.attribution()->accessTensor()
                                 : telemetry::kAuditNoTensor;
 
-    std::array<mem::PageId, 1> one{ page };
     df::PageAccessResult out;
-    if (hm.migratePages(one, mem::Tier::Fast, now) == 1) {
+    if (Tick arrival = hm.migratePage(page, mem::Tier::Fast, now);
+        arrival >= 0) {
         auditAppend(ex, telemetry::AuditReason::kPrefetchDemand, faulted,
                     mem::kPageSize);
-        out.extra = hm.arrivalTime(page) - now;
+        out.extra = arrival - now;
         out.effective = mem::Tier::Fast;
-    } else if (hm.demoteBusyUntil() > now) {
+    } else if (const Tick freed = hm.demoteBusyUntil(); freed > now) {
         // Wait for evictions, then pull the page across.
-        out.extra = hm.demoteBusyUntil() - now;
-        hm.commitUpTo(hm.demoteBusyUntil());
-        if (hm.migratePages(one, mem::Tier::Fast,
-                            hm.demoteBusyUntil()) == 1) {
+        out.extra = freed - now;
+        hm.commitUpTo(freed);
+        if (Tick late = hm.migratePage(page, mem::Tier::Fast, freed);
+            late >= 0) {
             // The transfer starts when the demote channel frees, later
             // than ex.now() — stamp the record at the migration's
             // schedule time so the trace join holds.
-            auditAppendAt(ex, hm.demoteBusyUntil(),
+            auditAppendAt(ex, freed,
                           telemetry::AuditReason::kPrefetchDemand, faulted,
                           mem::kPageSize);
-            out.extra += hm.arrivalTime(page) - hm.demoteBusyUntil();
+            out.extra += late - freed;
             out.effective = mem::Tier::Fast;
         }
     }

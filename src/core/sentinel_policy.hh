@@ -249,6 +249,15 @@ class SentinelPolicy : public df::MemoryPolicy
     void drainPrefetchQueue(df::Executor &ex);
     void issueDemotions(df::Executor &ex, int layer);
     bool isPoolPage(mem::PageId page) const;
+    /**
+     * Refill batch_ with the idle runs of @p pl whose resident tier
+     * @p eligible accepts — none for pool tensors, which never
+     * migrate.  @return the number of pages batched.
+     */
+    template <typename Eligible>
+    std::uint64_t batchRuns(mem::HeterogeneousMemory &hm,
+                            const df::TensorPlacement &pl, Tick now,
+                            Eligible eligible);
 
     /** Migration interval containing the current layer (-1 pre-plan). */
     std::int16_t currentInterval() const;
@@ -294,7 +303,7 @@ class SentinelPolicy : public df::MemoryPolicy
      */
     std::vector<df::TensorId> pending_prefetch_;
     std::size_t pending_head_ = 0;
-    std::vector<mem::PageId> batch_; ///< reused migration batch buffer
+    std::vector<mem::PageRun> batch_; ///< reused migration batch buffer
     int current_layer_ = 0;
     bool mode_stall_ = true;
     TrialState trial_ = TrialState::Idle;

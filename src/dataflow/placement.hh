@@ -12,7 +12,6 @@
 #define SENTINEL_DATAFLOW_PLACEMENT_HH
 
 #include <cstdint>
-#include <vector>
 
 #include "mem/page.hh"
 
@@ -27,16 +26,8 @@ struct TensorPlacement {
     mem::PageId endPage() const { return mem::pageCeil(addr + bytes); }
     std::uint64_t numPages() const { return mem::pagesSpanned(addr, bytes); }
 
-    /** All pages this placement touches, in ascending order. */
-    std::vector<mem::PageId>
-    pages() const
-    {
-        std::vector<mem::PageId> out;
-        out.reserve(numPages());
-        for (mem::PageId p = firstPage(); p < endPage(); ++p)
-            out.push_back(p);
-        return out;
-    }
+    /** The pages this placement touches, as one run. */
+    mem::PageRun pageRun() const { return { firstPage(), numPages() }; }
 };
 
 /** A policy's answer to "where should this tensor go?". */

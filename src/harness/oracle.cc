@@ -163,12 +163,13 @@ runCell(const ExperimentConfig &base, const std::string &policy,
     }
 
     // --- link conservation ---------------------------------------------
-    // Each page-move charges every link its legs cross, once per leg;
-    // the HM's StepStats totals charge the page once.  On a one-link
-    // chain the two counts coincide exactly; on a longer chain the
-    // per-link sum is bounded by [1, numLinks] legs per page.  (The
-    // tick-exact per-link stall identity is enforced inside the
-    // attribution engine itself and surfaces as internal-panic.)
+    // Every leg of a page-move is one page transfer on its link's
+    // channel and is charged to that link once, so per link and
+    // direction the attributed bytes equal the bytes the channel
+    // carried, exactly.  On a one-link chain they also equal the
+    // StepStats totals (each page-move is one leg).  (The tick-exact
+    // per-link stall identity is enforced inside the attribution
+    // engine itself and surfaces as internal-panic.)
     {
         std::uint64_t promoted = 0;
         std::uint64_t demoted = 0;
@@ -176,42 +177,64 @@ runCell(const ExperimentConfig &base, const std::string &policy,
             promoted += s.promoted_bytes;
             demoted += s.demoted_bytes;
         }
-        std::uint64_t link_promoted = 0;
-        std::uint64_t link_demoted = 0;
-        for (const telemetry::LinkAttr &l : attr.byLink()) {
-            link_promoted += l.promoted_bytes;
-            link_demoted += l.demoted_bytes;
+        // A slot beyond the chain's links must be empty: its channel
+        // carried nothing.
+        const mem::HeterogeneousMemory &hm = run->hm();
+        std::vector<telemetry::LinkAttr> by_link = attr.byLink();
+        by_link.resize(std::max<std::size_t>(by_link.size(), hm.numLinks()));
+        if (injected && opts.inject_link_misattribution &&
+            by_link.size() > 1) {
+            // Charge one page of link 1's traffic to link 0 instead:
+            // the per-link sum is unchanged, so only an exact per-link
+            // check can see it.
+            const bool up = by_link[1].promoted_bytes >= mem::kPageSize;
+            std::uint64_t &from = up ? by_link[1].promoted_bytes
+                                     : by_link[1].demoted_bytes;
+            std::uint64_t &to = up ? by_link[0].promoted_bytes
+                                   : by_link[0].demoted_bytes;
+            if (from >= mem::kPageSize) {
+                from -= mem::kPageSize;
+                to += mem::kPageSize;
+            }
         }
-        std::uint64_t links =
-            cfg.tiers > 1 ? static_cast<std::uint64_t>(cfg.tiers) - 1 : 0;
-        auto conserved = [links](std::uint64_t pages_bytes,
-                                 std::uint64_t leg_bytes) {
-            if (links <= 1)
-                return leg_bytes == pages_bytes;
-            return leg_bytes >= pages_bytes &&
-                   leg_bytes <= links * pages_bytes;
-        };
-        if (cfg.tiers == 1 && (promoted != 0 || demoted != 0))
-            addViolation(r, "link-conservation",
-                         strprintf("single-tier chain migrated bytes "
-                                   "(promoted %llu, demoted %llu)",
-                                   static_cast<unsigned long long>(
-                                       promoted),
-                                   static_cast<unsigned long long>(
-                                       demoted)));
-        else if (!conserved(promoted, link_promoted) ||
-                 !conserved(demoted, link_demoted))
-            addViolation(
-                r, "link-conservation",
-                strprintf("per-link migrated bytes (promote %llu, "
-                          "demote %llu) do not conserve the StepStats "
-                          "totals (promote %llu, demote %llu) over %llu "
-                          "links",
-                          static_cast<unsigned long long>(link_promoted),
-                          static_cast<unsigned long long>(link_demoted),
-                          static_cast<unsigned long long>(promoted),
-                          static_cast<unsigned long long>(demoted),
-                          static_cast<unsigned long long>(links)));
+        bool mismatch = false;
+        for (unsigned l = 0; l < by_link.size() && !mismatch; ++l) {
+            for (bool up : { true, false }) {
+                std::uint64_t charged = up ? by_link[l].promoted_bytes
+                                           : by_link[l].demoted_bytes;
+                std::uint64_t carried =
+                    l < hm.numLinks()
+                        ? hm.linkChannel(l, up).bytesTransferred()
+                        : 0;
+                if (charged == carried)
+                    continue;
+                addViolation(
+                    r, "link-conservation",
+                    strprintf("link %u %s: %llu bytes attributed, %llu "
+                              "bytes carried by its channel",
+                              l, up ? "promote" : "demote",
+                              static_cast<unsigned long long>(charged),
+                              static_cast<unsigned long long>(carried)));
+                mismatch = true;
+                break;
+            }
+        }
+        if (hm.numLinks() <= 1) {
+            std::uint64_t link_promoted =
+                by_link.empty() ? 0 : by_link[0].promoted_bytes;
+            std::uint64_t link_demoted =
+                by_link.empty() ? 0 : by_link[0].demoted_bytes;
+            if (link_promoted != promoted || link_demoted != demoted)
+                addViolation(
+                    r, "link-conservation",
+                    strprintf("link bytes (promote %llu, demote %llu) do "
+                              "not match the StepStats totals (promote "
+                              "%llu, demote %llu)",
+                              static_cast<unsigned long long>(link_promoted),
+                              static_cast<unsigned long long>(link_demoted),
+                              static_cast<unsigned long long>(promoted),
+                              static_cast<unsigned long long>(demoted)));
+        }
     }
 
     // --- attribution exactness ----------------------------------------

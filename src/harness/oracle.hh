@@ -13,10 +13,13 @@
  *                  cell's Run sized it to, at every step (fast-only's
  *                  unsized tier is oversized by design and checked as
  *                  such);
- *  - link-conservation: migrated bytes summed over the per-link
- *                  attribution slots equal the StepStats totals — a
- *                  staged (multi-leg) migration charges each leg to
- *                  exactly one link, nothing double counted or lost;
+ *  - link-conservation: per link and direction, the attributed
+ *                  migration bytes equal the bytes that link's channel
+ *                  carried — a staged (multi-leg) migration charges
+ *                  each leg to exactly one link, nothing double
+ *                  counted, lost, or charged to the wrong link; on a
+ *                  one-link chain they also equal the StepStats
+ *                  totals;
  *  - traffic:      total access traffic (fast + slow bytes) is
  *                  policy-invariant — policies move data, they don't
  *                  change what the model touches;
@@ -81,6 +84,10 @@ struct OracleOptions {
     /** Skew the observed total traffic of inject_policy cells by this
      *  relative factor before the cross-policy compare (0 = off). */
     double inject_traffic_skew = 0.0;
+
+    /** Charge one page of link 1's attributed bytes to link 0 before
+     *  the link-conservation check (chains of 3+ tiers only). */
+    bool inject_link_misattribution = false;
 
     /** Which policy's cells the injections above apply to. */
     std::string inject_policy = "sentinel";

@@ -225,102 +225,37 @@ HeterogeneousMemory::flightInfo(PageId page) const
     return fi;
 }
 
-HeterogeneousMemory::PendingBatch
-HeterogeneousMemory::takeBatch()
-{
-    if (batch_pool_.empty())
-        return {};
-    PendingBatch b = std::move(batch_pool_.back());
-    batch_pool_.pop_back();
-    b.pages.clear();
-    b.src.clear();
-    b.next_arrival = 0;
-    b.seq0 = 0;
-    b.cursor = 0;
-    return b;
-}
-
-void
-HeterogeneousMemory::pushBatch(PendingBatch &&b)
-{
-    b.next_arrival = b.pages.front().second;
-    pending_.push_back(std::move(b));
-    std::push_heap(pending_.begin(), pending_.end(), BatchLater{});
-    next_arrival_ = pending_.front().next_arrival;
-}
-
-Tick
+sim::ArrivalCurve
 HeterogeneousMemory::submitLegs(unsigned src, unsigned dst, Tick ready,
+                                std::uint64_t count,
                                 std::uint32_t &startup_paid)
 {
-    Tick t = ready;
-    if (dst < src) {
-        for (unsigned l = src; l-- > dst;) {
-            const std::uint32_t bit = 1u << (2 * l);
-            sim::BandwidthChannel &ch = links_[l].up;
-            t = (startup_paid & bit) ? ch.submitWithStartup(t, kPageSize, 0)
-                                     : ch.submit(t, kPageSize);
-            startup_paid |= bit;
-        }
-    } else {
-        for (unsigned l = src; l < dst; ++l) {
-            const std::uint32_t bit = 1u << (2 * l + 1);
-            sim::BandwidthChannel &ch = links_[l].down;
-            t = (startup_paid & bit) ? ch.submitWithStartup(t, kPageSize, 0)
-                                     : ch.submit(t, kPageSize);
-            startup_paid |= bit;
-        }
-    }
+    sim::ArrivalCurve t = sim::ArrivalCurve::flat(ready);
+    auto leg = [&](sim::BandwidthChannel &ch, std::uint32_t bit) {
+        const Tick startup = (startup_paid & bit) ? 0 : ch.startupLatency();
+        t = ch.submitRun(t, count, kPageSize, startup);
+        startup_paid |= bit;
+    };
+    if (dst < src)
+        for (unsigned l = src; l-- > dst;)
+            leg(links_[l].up, 1u << (2 * l));
+    else
+        for (unsigned l = src; l < dst; ++l)
+            leg(links_[l].down, 1u << (2 * l + 1));
     return t;
 }
 
 Tick
 HeterogeneousMemory::migratePage(PageId page, Tier dst, Tick ready)
 {
-    commitUpTo(ready);
-    PageEntry e = table_.entry(page);
-    if (e.in_flight || e.tier == dst)
+    const PageRun one{ page, 1 };
+    if (migratePages(std::span(&one, 1), dst, ready) == 0)
         return -1;
-    if (!tier(dst).tryReserve(kPageSize))
-        return -1;
-
-    const unsigned src = tierIndex(e.tier);
-    const unsigned d = tierIndex(dst);
-    std::uint32_t startup_paid = 0;
-    Tick arrival = submitLegs(src, d, ready, startup_paid);
-    std::uint64_t seq = table_.beginMigration(page, dst, arrival);
-    PendingBatch b = takeBatch();
-    b.seq0 = seq;
-    b.dst = dst;
-    b.pages.emplace_back(page, arrival);
-    b.src.push_back(static_cast<std::uint8_t>(src));
-    pushBatch(std::move(b));
-
-    const bool promote = d < src;
-    if (promote) {
-        stats_.promoted_bytes += kPageSize;
-        stats_.promoted_pages += 1;
-    } else {
-        stats_.demoted_bytes += kPageSize;
-        stats_.demoted_pages += 1;
-    }
-    if (telemetry_)
-        noteMigrationEvent(promote, ready, arrival, kPageSize,
-                           static_cast<std::uint32_t>(page));
-    if (attr_) {
-        // Each leg charges its own link.
-        if (promote)
-            for (unsigned l = src; l-- > d;)
-                attr_->noteMigration(l, true, kPageSize);
-        else
-            for (unsigned l = src; l < d; ++l)
-                attr_->noteMigration(l, false, kPageSize);
-    }
-    return arrival;
+    return table_.entry(page).arrival;
 }
 
 std::size_t
-HeterogeneousMemory::migratePages(std::span<const PageId> pages, Tier dst,
+HeterogeneousMemory::migratePages(std::span<const PageRun> runs, Tier dst,
                                   Tick ready)
 {
     commitUpTo(ready);
@@ -336,59 +271,52 @@ HeterogeneousMemory::migratePages(std::span<const PageId> pages, Tier dst,
     Tick dir_last[2] = { ready, ready };
     std::uint32_t dir_first[2] = { 0, 0 };
     std::uint64_t link_bytes[2][kMaxTiers] = {};
-    PendingBatch b = takeBatch();
-    b.dst = dst;
-    // Walk the request as maximal consecutive page stretches and query
-    // the table once per uniform run instead of once per page; eligible
-    // runs reserve, schedule, and begin migration in bulk.
+    // Split each requested run at (tier, in_flight) boundaries; every
+    // eligible piece reserves, streams through its legs, and begins
+    // migration as one pending run.
     bool dest_full = false;
-    std::size_t i = 0;
-    const std::size_t n = pages.size();
-    while (i < n && !dest_full) {
-        std::size_t j = i + 1;
-        while (j < n && pages[j] == pages[j - 1] + 1)
-            ++j;
-        PageId run = pages[i];
-        const PageId run_end = pages[i] + (j - i);
-        while (run < run_end) {
+    for (const PageRun &req : runs) {
+        PageId run = req.first;
+        const PageId run_end = req.endPage();
+        while (run < run_end && !dest_full) {
             PageRunState rs = table_.runState(run, run_end - run);
             if (rs.in_flight || rs.tier == dst) {
                 run += rs.count;
                 continue;
             }
-            std::uint64_t take = rs.count;
-            if (!tier(dst).tryReserve(take * kPageSize)) {
-                // Destination nearly full: claim what fits, then let
-                // the caller retry later (same greedy order as the
-                // page-at-a-time path).
-                take = 0;
-                while (take < rs.count && tier(dst).tryReserve(kPageSize))
-                    ++take;
-                dest_full = true;
-            }
+            // Destination nearly full: claim what fits, then let the
+            // caller retry later.
+            std::uint64_t take = std::min<std::uint64_t>(
+                rs.count, tier(dst).free() / kPageSize);
+            dest_full = take < rs.count;
             if (take == 0)
                 break;
+            bool ok = tier(dst).tryReserve(take * kPageSize);
+            SENTINEL_ASSERT(ok, "migration reservation failed");
 
             const unsigned src = tierIndex(rs.tier);
             const unsigned dir = d < src ? 0 : 1;
-            // First page of the batch to touch each channel pays the
-            // setup cost; the rest stream.
-            const std::size_t base = b.pages.size();
-            for (std::uint64_t k = 0; k < take; ++k) {
-                Tick arrival = submitLegs(src, d, ready, startup_paid);
-                b.pages.emplace_back(run + k, arrival);
-                b.src.push_back(static_cast<std::uint8_t>(src));
+            sim::ArrivalCurve arrivals =
+                submitLegs(src, d, ready, take, startup_paid);
+            std::uint32_t slot;
+            if (free_slots_.empty()) {
+                slot = static_cast<std::uint32_t>(runs_.size());
+                runs_.emplace_back();
+            } else {
+                slot = free_slots_.back();
+                free_slots_.pop_back();
             }
-            std::uint64_t seq = table_.beginMigrationRun(
-                std::span<const std::pair<PageId, Tick>>(
-                    b.pages.data() + base, take),
-                dst);
-            if (scheduled == 0)
-                b.seq0 = seq;
+            runs_[slot] = { run, take, 0,
+                            table_.beginMigrationRun(run, take, dst,
+                                                     arrivals),
+                            src, arrivals };
+            pending_.push_back({ arrivals.at(0), slot });
+            std::push_heap(pending_.begin(), pending_.end(), KeyLater{});
+
             if (dir_bytes[dir] == 0)
                 dir_first[dir] = static_cast<std::uint32_t>(run);
             dir_bytes[dir] += take * kPageSize;
-            dir_last[dir] = b.pages.back().second;
+            dir_last[dir] = arrivals.at(take - 1);
             scheduled += take;
 
             if (dir == 0) {
@@ -403,15 +331,12 @@ HeterogeneousMemory::migratePages(std::span<const PageId> pages, Tier dst,
                     link_bytes[1][l] += take * kPageSize;
             }
             run += take;
-            if (dest_full)
-                break;
         }
-        i = j;
+        if (dest_full)
+            break;
     }
     if (scheduled > 0)
-        pushBatch(std::move(b));
-    else
-        batch_pool_.push_back(std::move(b));
+        next_arrival_ = pending_.front().next_arrival;
     // One event per batch and direction (matching the one-transfer cost
     // model), not per page — keeps the ring proportional to decisions,
     // not volume.
@@ -521,35 +446,26 @@ void
 HeterogeneousMemory::drainArrivals(Tick now)
 {
     while (!pending_.empty() && pending_.front().next_arrival <= now) {
-        std::pop_heap(pending_.begin(), pending_.end(), BatchLater{});
-        PendingBatch &b = pending_.back();
-        const std::uint32_t n = static_cast<std::uint32_t>(b.pages.size());
-        while (b.cursor < n && b.pages[b.cursor].second <= now) {
-            // Commit consecutive arrived pages as one run; batch pages
-            // are ascending, so stretches are common.  A stretch stops
-            // at a source-tier boundary so the release below frees the
-            // right tier.
-            std::uint32_t k = b.cursor + 1;
-            while (k < n && b.pages[k].second <= now &&
-                   b.pages[k].first == b.pages[k - 1].first + 1 &&
-                   b.src[k] == b.src[b.cursor])
-                ++k;
-            std::uint64_t committed = table_.commitMigrationRun(
-                b.pages[b.cursor].first, k - b.cursor, b.seq0 + b.cursor);
-            // Committed pages now live at b.dst; free their old homes.
-            // A failed commit means the page was freed or the migration
-            // was cancelled; unmapPage()/cancel paths already released
-            // the destination reservation in that case.
-            if (committed > 0)
-                tier(makeTier(b.src[b.cursor]))
-                    .release(committed * kPageSize);
-            b.cursor = k;
-        }
-        if (b.cursor < n) {
-            b.next_arrival = b.pages[b.cursor].second;
-            std::push_heap(pending_.begin(), pending_.end(), BatchLater{});
+        std::pop_heap(pending_.begin(), pending_.end(), KeyLater{});
+        PendingKey &key = pending_.back();
+        PendingRun &r = runs_[key.slot];
+        // Arrivals are non-decreasing along a run, so everything due
+        // is one prefix — committed as one page-table run.
+        const std::uint64_t due = r.curve.arrivedBy(now, r.count);
+        std::uint64_t committed = table_.commitMigrationRun(
+            r.first + r.cursor, due - r.cursor, r.seq0 + r.cursor);
+        // Committed pages now live at their destination; free their
+        // old homes.  A failed commit means the page was freed or the
+        // migration was cancelled; unmapPage()/cancel paths already
+        // released the destination reservation in that case.
+        if (committed > 0)
+            tiers_[r.src].release(committed * kPageSize);
+        r.cursor = due;
+        if (r.cursor < r.count) {
+            key.next_arrival = r.curve.at(r.cursor);
+            std::push_heap(pending_.begin(), pending_.end(), KeyLater{});
         } else {
-            batch_pool_.push_back(std::move(b));
+            free_slots_.push_back(key.slot);
             pending_.pop_back();
         }
     }
@@ -573,8 +489,8 @@ HeterogeneousMemory::reset()
         l.down.reset();
     }
     table_.clear();
-    for (PendingBatch &b : pending_)
-        batch_pool_.push_back(std::move(b));
+    runs_.clear();
+    free_slots_.clear();
     pending_.clear();
     next_arrival_ = kNoArrival;
     stats_ = HmStats{};

@@ -23,6 +23,14 @@
  * links streams store-and-forward — each leg queues on its own channel
  * and the page "arrives" when the final leg completes; intermediate
  * tiers are not occupied.
+ *
+ * The migration engine is extent-granular: a batch is a list of page
+ * runs, each leg of a run is one BandwidthChannel::submitRun(), and a
+ * scheduled run is one pending descriptor whose per-page arrivals are
+ * a closed-form sim::ArrivalCurve.  Scheduling and commit cost scale
+ * with runs, not pages, while every arrival tick equals what
+ * page-at-a-time submission would give (the per-page engine it is
+ * diffed against is test-only: tests/support/ref_hm.hh).
  */
 
 #ifndef SENTINEL_MEM_HM_HH
@@ -146,8 +154,7 @@ class HeterogeneousMemory
 
     /**
      * Schedule moving @p page to @p dst, starting no earlier than
-     * @p ready.  Transfers that cross several links stream
-     * store-and-forward, each leg on its own channel.
+     * @p ready — a migratePages() batch of one page.
      *
      * @return the completion tick, or -1 if the destination is full or
      *         the page is already at/moving to @p dst.
@@ -155,15 +162,17 @@ class HeterogeneousMemory
     Tick migratePage(PageId page, Tier dst, Tick ready);
 
     /**
-     * Migrate a batch as ONE transfer (a single move_pages() call /
-     * one cudaMemPrefetchAsync): the per-transfer setup cost is paid
-     * once per channel, not per page.  Pages already at/moving to
-     * @p dst are skipped; migration stops early if the destination
-     * fills.
+     * Migrate a batch of page runs as ONE transfer (a single
+     * move_pages() call / one cudaMemPrefetchAsync): the per-transfer
+     * setup cost is paid once per channel, not per page, and the pages
+     * stream in run order.  Transfers that cross several links stream
+     * store-and-forward, each leg on its own channel.  Pages already
+     * at/moving to @p dst are skipped; migration stops early if the
+     * destination fills.
      *
      * @return the number of pages whose migration was scheduled.
      */
-    std::size_t migratePages(std::span<const PageId> pages, Tier dst,
+    std::size_t migratePages(std::span<const PageRun> runs, Tier dst,
                              Tick ready);
 
     /**
@@ -291,38 +300,45 @@ class HeterogeneousMemory
     static const sim::BandwidthChannel &nullChannel();
 
     /**
-     * Queue one page through every leg from @p src to @p dst,
-     * store-and-forward.  Each channel's per-transfer startup is paid
-     * by the first page of the batch to touch it; @p startup_paid is
-     * the per-batch bitmask of channels already charged (bit
-     * 2*link + direction).
+     * Queue @p count pages through every leg from @p src to @p dst,
+     * store-and-forward: one submitRun() per leg, each leg ready when
+     * the previous one delivers.  Each channel's per-transfer startup
+     * is paid by the first run of the batch to touch it;
+     * @p startup_paid is the per-batch bitmask of channels already
+     * charged (bit 2*link + direction).
+     *
+     * @return the final leg's arrival curve.
      */
-    Tick submitLegs(unsigned src, unsigned dst, Tick ready,
-                    std::uint32_t &startup_paid);
+    sim::ArrivalCurve submitLegs(unsigned src, unsigned dst, Tick ready,
+                                 std::uint64_t count,
+                                 std::uint32_t &startup_paid);
 
     static constexpr Tick kNoArrival = std::numeric_limits<Tick>::max();
 
     /**
-     * One scheduled migratePages() batch: the pages in submit order
-     * with their individual arrival ticks and source-tier indices.
-     * Page k of the batch holds migration sequence seq0 + k
-     * (beginMigration() numbers them consecutively inside the
-     * scheduling loop), so the commit loop never stores per-page
-     * sequence numbers.  The pending set is a binary min-heap of
-     * batches keyed by each batch's next uncommitted arrival — one
-     * heap node per *batch* instead of per page.
+     * One scheduled run: pages [first, first+count) moving out of tier
+     * @c src, page k arriving at curve.at(k) with migration sequence
+     * seq0 + k.  Pages before @c cursor are committed.
      */
-    struct PendingBatch {
-        Tick next_arrival = 0;   ///< arrival of pages[cursor]
-        std::uint64_t seq0 = 0;  ///< migration seq of pages[0]
-        std::uint32_t cursor = 0;
-        Tier dst = Tier::Fast;
-        std::vector<std::pair<PageId, Tick>> pages; ///< (page, arrival)
-        std::vector<std::uint8_t> src; ///< source tier index per page
+    struct PendingRun {
+        PageId first = 0;
+        std::uint64_t count = 0;
+        std::uint64_t cursor = 0;
+        std::uint64_t seq0 = 0;
+        unsigned src = 0;
+        sim::ArrivalCurve curve;
     };
-    struct BatchLater {
+    /**
+     * Pending-heap node: a run's next uncommitted arrival and its slot
+     * in runs_.  The heap moves these small keys, never the runs.
+     */
+    struct PendingKey {
+        Tick next_arrival = 0;
+        std::uint32_t slot = 0;
+    };
+    struct KeyLater {
         bool
-        operator()(const PendingBatch &a, const PendingBatch &b) const
+        operator()(const PendingKey &a, const PendingKey &b) const
         {
             return a.next_arrival > b.next_arrival;
         }
@@ -330,18 +346,14 @@ class HeterogeneousMemory
 
     /** Out-of-line slow path of commitUpTo(). */
     void drainArrivals(Tick now);
-    /** Push @p b onto the pending heap and refresh next_arrival_. */
-    void pushBatch(PendingBatch &&b);
-    /** Pooled batch for the next schedule (reused, no allocation in
-     *  steady state); pages/src buffers come back cleared. */
-    PendingBatch takeBatch();
 
     std::vector<MemoryTier> tiers_; ///< fastest-first chain
     std::vector<Link> links_;       ///< links_[i]: tiers i <-> i+1
     std::vector<std::uint64_t> base_capacity_; ///< per tier
     PageTable table_;
-    std::vector<PendingBatch> pending_; ///< min-heap (BatchLater)
-    std::vector<PendingBatch> batch_pool_;
+    std::vector<PendingRun> runs_;           ///< scheduled runs, by slot
+    std::vector<std::uint32_t> free_slots_;  ///< reusable runs_ slots
+    std::vector<PendingKey> pending_;        ///< min-heap (KeyLater)
     Tick next_arrival_ = kNoArrival; ///< pending_ top's key (cached)
     HmStats stats_;
 

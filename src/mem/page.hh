@@ -12,6 +12,7 @@
 #define SENTINEL_MEM_PAGE_HH
 
 #include <cstdint>
+#include <vector>
 
 namespace sentinel::mem {
 
@@ -70,6 +71,16 @@ struct PageRun {
     constexpr PageId endPage() const { return first + count; }
     constexpr bool empty() const { return count == 0; }
 };
+
+/** Append @p page to @p runs, extending the last run if it is next. */
+inline void
+appendPage(std::vector<PageRun> &runs, PageId page)
+{
+    if (!runs.empty() && runs.back().endPage() == page)
+        ++runs.back().count;
+    else
+        runs.push_back({ page, 1 });
+}
 
 /**
  * A tier id within an ordered heterogeneous memory hierarchy.

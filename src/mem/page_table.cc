@@ -257,24 +257,7 @@ PageTable::anyInFlight(PageId first, std::uint64_t count) const
 std::uint64_t
 PageTable::beginMigration(PageId page, Tier dest, Tick arrival)
 {
-    const Chunk *c = findChunk(page);
-    SENTINEL_ASSERT(c && c->state[page & kChunkMask] != kStateUnmapped,
-                    "access to unmapped page %llu",
-                    static_cast<unsigned long long>(page));
-    Chunk &ch = const_cast<Chunk &>(*c);
-    std::uint64_t off = page & kChunkMask;
-    std::uint8_t &s = ch.state[off];
-    SENTINEL_ASSERT(!flightOf(s), "page %llu is already migrating",
-                    static_cast<unsigned long long>(page));
-    SENTINEL_ASSERT(tierOf(s) != dest, "migration to the same tier");
-    ensureCold(ch);
-    s |= kStateFlightBit;
-    ++ch.inflight;
-    ++num_inflight_;
-    ch.arrival[off] = arrival;
-    ch.seq[off] = next_seq_++;
-    ch.dest[off] = static_cast<std::uint8_t>(tierIndex(dest));
-    return ch.seq[off];
+    return beginMigrationRun(page, 1, dest, sim::ArrivalCurve::flat(arrival));
 }
 
 bool
@@ -299,14 +282,14 @@ PageTable::commitMigration(PageId page, std::uint64_t seq)
 }
 
 std::uint64_t
-PageTable::beginMigrationRun(std::span<const std::pair<PageId, Tick>> run,
-                             Tier dest)
+PageTable::beginMigrationRun(PageId first, std::uint64_t count, Tier dest,
+                             const sim::ArrivalCurve &arrivals)
 {
-    SENTINEL_ASSERT(!run.empty(), "empty migration run");
+    SENTINEL_ASSERT(count > 0, "empty migration run");
     const std::uint64_t seq0 = next_seq_;
-    std::size_t i = 0;
-    while (i < run.size()) {
-        const PageId page = run[i].first;
+    std::uint64_t i = 0;
+    while (i < count) {
+        const PageId page = first + i;
         const Chunk *c = findChunk(page);
         SENTINEL_ASSERT(c, "access to unmapped page %llu",
                         static_cast<unsigned long long>(page));
@@ -314,11 +297,8 @@ PageTable::beginMigrationRun(std::span<const std::pair<PageId, Tick>> run,
         ensureCold(ch);
         const std::uint64_t off = page & kChunkMask;
         const std::uint64_t in_chunk =
-            std::min<std::uint64_t>(run.size() - i, kChunkPages - off);
+            std::min<std::uint64_t>(count - i, kChunkPages - off);
         for (std::uint64_t k = 0; k < in_chunk; ++k) {
-            SENTINEL_ASSERT(run[i + k].first == page + k,
-                            "migration run is not consecutive at %llu",
-                            static_cast<unsigned long long>(page + k));
             std::uint8_t &s = ch.state[off + k];
             SENTINEL_ASSERT(s != kStateUnmapped,
                             "access to unmapped page %llu",
@@ -327,7 +307,7 @@ PageTable::beginMigrationRun(std::span<const std::pair<PageId, Tick>> run,
                             static_cast<unsigned long long>(page + k));
             SENTINEL_ASSERT(tierOf(s) != dest, "migration to the same tier");
             s |= kStateFlightBit;
-            ch.arrival[off + k] = run[i + k].second;
+            ch.arrival[off + k] = arrivals.at(i + k);
             ch.seq[off + k] = next_seq_++;
             ch.dest[off + k] = static_cast<std::uint8_t>(tierIndex(dest));
         }

@@ -26,12 +26,11 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
-#include <utility>
 #include <vector>
 
 #include "common/units.hh"
 #include "mem/page.hh"
+#include "sim/bandwidth_channel.hh"
 
 namespace sentinel::mem {
 
@@ -88,7 +87,8 @@ class PageTable
     bool anyInFlight(PageId first, std::uint64_t count) const;
 
     /**
-     * Mark @p page as migrating to @p dest, arriving at @p arrival.
+     * Mark @p page as migrating to @p dest, arriving at @p arrival (a
+     * run of one).
      * @return the migration sequence number for this migration.
      */
     std::uint64_t beginMigration(PageId page, Tier dest, Tick arrival);
@@ -100,14 +100,15 @@ class PageTable
     bool commitMigration(PageId page, std::uint64_t seq);
 
     /**
-     * Begin migrating a consecutive ascending run of pages to @p dest;
-     * run[i] is (first + i, arrival of that page).  Every page must be
-     * mapped, idle, and resident away from @p dest — i.e. a uniform
-     * eligible runState() prefix.  Sequence numbers are contiguous:
-     * page run[i].first gets @return + i.
+     * Begin migrating the consecutive run [first, first+count) to
+     * @p dest; page first+k arrives at @p arrivals.at(k).  Every page
+     * must be mapped, idle, and resident away from @p dest — i.e. a
+     * uniform eligible runState() prefix.  Sequence numbers are
+     * contiguous: page first+k gets @return + k.
      */
-    std::uint64_t beginMigrationRun(
-        std::span<const std::pair<PageId, Tick>> run, Tier dest);
+    std::uint64_t beginMigrationRun(PageId first, std::uint64_t count,
+                                    Tier dest,
+                                    const sim::ArrivalCurve &arrivals);
 
     /**
      * Commit the consecutive run [first, first+count), where page

@@ -35,6 +35,24 @@ BandwidthChannel::submitWithStartup(Tick ready, std::uint64_t bytes,
     return busy_until_;
 }
 
+ArrivalCurve
+BandwidthChannel::submitRun(const ArrivalCurve &ready, std::uint64_t count,
+                            std::uint64_t bytes_each, Tick startup)
+{
+    SENTINEL_ASSERT(count > 0, "empty transfer run on '%s'", name_.c_str());
+    const Tick T = transferTime(bytes_each, bytes_per_sec_);
+    ArrivalCurve out;
+    out.add(std::max(ready.at(0), busy_until_) + startup + T, T);
+    for (unsigned i = 0; i < ready.lines; ++i)
+        if (ready.stride[i] > T)
+            out.add(ready.base[i] + T, ready.stride[i]);
+    busy_until_ = out.at(count - 1);
+    bytes_transferred_ += count * bytes_each;
+    num_transfers_ += count;
+    busy_time_ += startup + static_cast<Tick>(count) * T;
+    return out;
+}
+
 Tick
 BandwidthChannel::estimateCompletion(Tick ready, std::uint64_t bytes) const
 {

@@ -65,8 +65,8 @@ class PrefetchAtL1 : public MemoryPolicy
         if (layer != 1)
             return;
         const TensorPlacement &pl = ex.placementOf(0);
-        auto pages = pl.pages();
-        ex.hm().migratePages(pages, mem::Tier::Fast, ex.now());
+        const mem::PageRun run = pl.pageRun();
+        ex.hm().migratePages({ &run, 1 }, mem::Tier::Fast, ex.now());
         issued_at_ = ex.now();
     }
 
@@ -173,8 +173,8 @@ class DemoteAtL0End : public MemoryPolicy
     {
         if (layer != 0)
             return;
-        auto pages = ex.placementOf(0).pages();
-        ex.hm().migratePages(pages, mem::Tier::Slow, ex.now());
+        const mem::PageRun run = ex.placementOf(0).pageRun();
+        ex.hm().migratePages({ &run, 1 }, mem::Tier::Slow, ex.now());
     }
 
   private:

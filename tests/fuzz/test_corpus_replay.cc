@@ -15,6 +15,8 @@
 #include <gtest/gtest.h>
 
 #include "harness/oracle.hh"
+#include "mem/page.hh"
+#include "telemetry/attribution.hh"
 
 #ifndef SENTINEL_FUZZ_CORPUS_DIR
 #error "SENTINEL_FUZZ_CORPUS_DIR must point at tests/fuzz/corpus"
@@ -193,6 +195,49 @@ TEST(CorpusReplay, InjectedViolationIsDetectedAndShrinksDeterministically)
     OracleReport ra = a.run(1, false);
     ASSERT_FALSE(ra.ok());
     EXPECT_EQ(ra.violations.front().invariant, "capacity");
+}
+
+TEST(CorpusReplay, ExactLinkConservationCatchesMisattributedLeg)
+{
+    // Charging one page of link 1's bytes to link 0 keeps the per-link
+    // SUM, so the old band check ([1x, links x] of the StepStats page
+    // bytes) passes it; the exact per-link check must not.
+    int checked = 0;
+    for (const auto &path : corpusFiles()) {
+        FuzzCase fc = FuzzCase::load(path.string());
+        if (fc.tiers < 3 || !fc.cpu)
+            continue;
+        SCOPED_TRACE(path.filename().string());
+
+        // The band on the clean sentinel cell, as the oracle ran it.
+        ExperimentConfig cfg = fc.config();
+        telemetry::AttributionEngine attr;
+        cfg.attribution = &attr;
+        StepTrace trace = harness::Run(cfg, "sentinel").finish();
+        std::uint64_t pages = 0;
+        for (const df::StepStats &s : trace.steps)
+            pages += s.promoted_bytes + s.demoted_bytes;
+        std::uint64_t legs = 0;
+        for (const telemetry::LinkAttr &l : attr.byLink())
+            legs += l.promoted_bytes + l.demoted_bytes;
+        ASSERT_GE(attr.byLink().size(), 2u);
+        ASSERT_GE(attr.byLink()[1].promoted_bytes +
+                      attr.byLink()[1].demoted_bytes,
+                  mem::kPageSize);
+        const std::uint64_t links = static_cast<std::uint64_t>(fc.tiers) - 1;
+        EXPECT_TRUE(legs >= pages && legs <= links * pages)
+            << "band would flag the clean run";
+
+        OracleOptions opts = fc.oracleOptions(2, false);
+        opts.run_gpu = false;
+        opts.inject_link_misattribution = true;
+        OracleReport rep = runOracle(fc.config(), opts);
+        ASSERT_FALSE(rep.ok());
+        EXPECT_EQ(rep.violations.front().invariant, "link-conservation");
+        EXPECT_EQ(rep.violations.front().policy, "sentinel");
+        ++checked;
+    }
+    EXPECT_GE(checked, 3);
 }
 
 } // namespace

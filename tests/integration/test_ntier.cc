@@ -14,7 +14,6 @@
  *    perturbs the run without breaking any policy.
  */
 
-#include <array>
 
 #include <gtest/gtest.h>
 
@@ -147,7 +146,7 @@ TEST(NtierDegradation, ZeroCapacityMidTierPlacesLikeTwoTier)
     EXPECT_EQ(three.tier(mem::makeTier(1)).used(), 0u);
 
     // Migration into the empty middle tier schedules nothing...
-    std::array<mem::PageId, 2> pages{ 6, 7 };
+    const mem::PageRun pages[] = { { 6, 2 } };
     EXPECT_EQ(three.migratePages(pages, mem::makeTier(1), 0), 0u);
     // ...while promotion straight to fast still works on both systems.
     three.unmapPage(0, 0);
@@ -229,7 +228,7 @@ TEST(NtierChaos, MidTierCapacityScaleCapsFutureArrivals)
     hm.mapRange(0, 32, hm.slowestTier());
 
     hm.setTierCapacityScale(1, 0.5); // mid: 8 pages -> 4 pages
-    std::array<mem::PageId, 8> first{ 0, 1, 2, 3, 4, 5, 6, 7 };
+    const mem::PageRun first[] = { { 0, 8 } };
     std::size_t moved = hm.migratePages(first, mem::makeTier(1), 0);
     EXPECT_GT(moved, 0u);
     EXPECT_LE(moved, 4u);
@@ -237,7 +236,7 @@ TEST(NtierChaos, MidTierCapacityScaleCapsFutureArrivals)
 
     // Lifting the fault restores headroom for new arrivals.
     hm.setTierCapacityScale(1, 1.0);
-    std::array<mem::PageId, 4> second{ 8, 9, 10, 11 };
+    const mem::PageRun second[] = { { 8, 4 } };
     std::size_t more =
         hm.migratePages(second, mem::makeTier(1), 10 * kMsec);
     EXPECT_GT(more, 0u);

@@ -5,8 +5,8 @@
  *
  * The hot loop's scratch buffers (the policy's migration batch and
  * prefetch ring, the executor's segment lists, the migration engine's
- * pooled batch buffers, the SoA page-table chunks) are all grown
- * during warmup and reused afterwards; this test pins that property
+ * pending-run heap, the SoA page-table chunks) are all grown during
+ * warmup and reused afterwards; this test pins that property
  * with the counting operator new from sentinel_alloc_hook.  Linked
  * only into this binary — see common/alloc_hook.hh for the contract.
  * Under sanitizers the hook compiles away and the test skips.
@@ -17,6 +17,7 @@
 #include "common/alloc_hook.hh"
 #include "core/sentinel_policy.hh"
 #include "dataflow/executor.hh"
+#include "harness/experiment.hh"
 #include "mem/hm.hh"
 #include "models/registry.hh"
 #include "profile/profiler.hh"
@@ -99,6 +100,39 @@ TEST(ZeroAlloc, LiveObservabilityPlaneDoesNotAllocateInSteadyState)
         << " heap allocations across 50 warm steps with the "
            "observability plane enabled";
     EXPECT_EQ(board.steps(), 58u); // the board really was fed
+}
+
+/** Heap allocations across @p steps warm Sentinel steps of @p cfg. */
+std::uint64_t
+warmStepAllocs(const harness::ExperimentConfig &cfg, int steps)
+{
+    harness::Run run(cfg, "sentinel");
+    df::Executor &ex = run.executor();
+    ex.run(8);
+    std::uint64_t before = common::allocCount();
+    for (int i = 0; i < steps; ++i)
+        ex.runStep();
+    return common::allocCount() - before;
+}
+
+TEST(ZeroAlloc, MobilenetSentinelSteadyStateDoesNotAllocate)
+{
+    if (!common::allocHookActive())
+        GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
+    harness::ExperimentConfig cfg;
+    cfg.model = "mobilenet";
+    EXPECT_EQ(warmStepAllocs(cfg, 20), 0u);
+}
+
+TEST(ZeroAlloc, ThreeTierLlmSentinelSteadyStateDoesNotAllocate)
+{
+    if (!common::allocHookActive())
+        GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
+    // Staged prefetch: two-leg runs through the middle tier.
+    harness::ExperimentConfig cfg;
+    cfg.model = "llm:tiny";
+    cfg.tiers = 3;
+    EXPECT_EQ(warmStepAllocs(cfg, 20), 0u);
 }
 
 } // namespace

@@ -1,4 +1,3 @@
-#include <array>
 
 #include <gtest/gtest.h>
 
@@ -112,9 +111,8 @@ TEST(Hm, UnmapInFlightReleasesBothReservations)
 TEST(Hm, BatchMigrationSerializesOnChannel)
 {
     auto hm = makeHm(8);
-    std::array<PageId, 3> pages{ 10, 11, 12 };
-    for (PageId p : pages)
-        hm.tryMapPage(p, Tier::Slow);
+    const PageRun pages[] = { { 10, 3 } };
+    hm.mapRange(10, 3, Tier::Slow);
 
     EXPECT_EQ(hm.migratePages(pages, Tier::Fast, 0), 3u);
     // Three pages over one serialized 1 GB/s channel: the batch's last
@@ -131,9 +129,8 @@ TEST(Hm, BatchMigrationChargesOneStartup)
     TierParams slow{ "pmm", 1024 * kPageSize, 2e9, 1e9, 300, 300 };
     MigrationParams mig{ 1e9, 1e9, 1000 }; // 1 us startup
     HeterogeneousMemory hm({ fast, slow }, { mig });
-    std::array<PageId, 4> pages{ 1, 2, 3, 4 };
-    for (PageId p : pages)
-        hm.tryMapPage(p, Tier::Slow);
+    const PageRun pages[] = { { 1, 4 } };
+    hm.mapRange(1, 4, Tier::Slow);
 
     hm.migratePages(pages, Tier::Fast, 0);
     // One setup cost for the whole batch, then pages stream.
@@ -143,9 +140,8 @@ TEST(Hm, BatchMigrationChargesOneStartup)
 TEST(Hm, BatchMigrationStopsWhenDestinationFull)
 {
     auto hm = makeHm(2);
-    std::array<PageId, 4> pages{ 1, 2, 3, 4 };
-    for (PageId p : pages)
-        hm.tryMapPage(p, Tier::Slow);
+    const PageRun pages[] = { { 1, 4 } };
+    hm.mapRange(1, 4, Tier::Slow);
 
     EXPECT_EQ(hm.migratePages(pages, Tier::Fast, 0), 2u);
     EXPECT_EQ(hm.stats().promoted_pages, 2u);
@@ -158,7 +154,7 @@ TEST(Hm, BatchMigrationSkipsIneligiblePages)
     hm.tryMapPage(2, Tier::Slow);
     hm.tryMapPage(3, Tier::Slow);
     hm.migratePage(3, Tier::Fast, 0); // already in flight
-    std::array<PageId, 3> pages{ 1, 2, 3 };
+    const PageRun pages[] = { { 1, 3 } };
     EXPECT_EQ(hm.migratePages(pages, Tier::Fast, 0), 1u);
 }
 

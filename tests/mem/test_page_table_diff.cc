@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <random>
-#include <utility>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -204,14 +203,16 @@ class DiffCampaign
             if (rs.in_flight)
                 return;
             Tier dest = otherTier(rs.tier);
-            std::vector<std::pair<PageId, Tick>> run;
-            Tick t = static_cast<Tick>(uniform(1'000'000));
-            for (std::uint64_t i = 0; i < rs.count; ++i) {
-                run.emplace_back(p + i, t);
-                t += static_cast<Tick>(uniform(100));
-            }
-            std::uint64_t seq0 = pt_.beginMigrationRun(run, dest);
-            ASSERT_EQ(seq0, ref_.beginMigrationRun(run, dest));
+            // Up to three arrival lines, as a multi-leg transfer has.
+            sim::ArrivalCurve arrivals;
+            const unsigned lines = 1 + static_cast<unsigned>(uniform(3));
+            for (unsigned i = 0; i < lines; ++i)
+                arrivals.add(static_cast<Tick>(uniform(1'000'000)),
+                             static_cast<Tick>(uniform(100)));
+            std::uint64_t seq0 =
+                pt_.beginMigrationRun(p, rs.count, dest, arrivals);
+            ASSERT_EQ(seq0,
+                      ref_.beginMigrationRun(p, rs.count, dest, arrivals));
             remember({ p, rs.count, seq0 });
             ++cov.ops[kBeginRun];
             noteRange(cov, p, rs.count);

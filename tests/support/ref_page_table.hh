@@ -16,8 +16,6 @@
 
 #include <cstdint>
 #include <map>
-#include <span>
-#include <utility>
 
 #include "common/logging.hh"
 #include "mem/page_table.hh"
@@ -137,16 +135,13 @@ class RefPageTable
     }
 
     std::uint64_t
-    beginMigrationRun(std::span<const std::pair<PageId, Tick>> run,
-                      Tier dest)
+    beginMigrationRun(PageId first, std::uint64_t count, Tier dest,
+                      const sim::ArrivalCurve &arrivals)
     {
-        SENTINEL_ASSERT(!run.empty(), "empty migration run");
+        SENTINEL_ASSERT(count > 0, "empty migration run");
         std::uint64_t seq0 = next_seq_;
-        for (std::size_t i = 0; i < run.size(); ++i) {
-            SENTINEL_ASSERT(run[i].first == run[0].first + i,
-                            "migration run is not consecutive");
-            beginMigration(run[i].first, dest, run[i].second);
-        }
+        for (std::uint64_t i = 0; i < count; ++i)
+            beginMigration(first + i, dest, arrivals.at(i));
         return seq0;
     }
 
