@@ -121,11 +121,9 @@ BENCHMARK(BM_ExecutorStepFastOnly);
 // The extent-granular walk's headline case: ops whose tensors span
 // tens of thousands of pages.  One step touches a 64 MB weight and a
 // 32 MB activation twice each (~48k page accesses); the range walk
-// resolves them as a handful of runs.  The /PerPage variant replays
-// the legacy page loop on the same graph, so the ratio between the
-// two is the extent walk's speedup.
+// resolves them as a handful of runs.
 void
-runLargePagesStep(benchmark::State &state, df::Executor::AccessMode mode)
+BM_ExecutorStepLargePages(benchmark::State &state)
 {
     df::Graph g("large-pages", 2);
     const std::uint64_t wbytes = 64ull << 20;
@@ -145,7 +143,6 @@ runLargePagesStep(benchmark::State &state, df::Executor::AccessMode mode)
     auto hm = makeHm(256ull << 20);
     auto policy = baselines::makeFastOnly();
     df::Executor ex(g, hm, df::ExecParams{}, *policy);
-    ex.setAccessMode(mode);
     ex.runStep();
     for (auto _ : state)
         benchmark::DoNotOptimize(ex.runStep().step_time);
@@ -153,20 +150,7 @@ runLargePagesStep(benchmark::State &state, df::Executor::AccessMode mode)
         static_cast<std::int64_t>(state.iterations()) *
         static_cast<std::int64_t>(2 * (wbytes + abytes) / mem::kPageSize));
 }
-
-void
-BM_ExecutorStepLargePages(benchmark::State &state)
-{
-    runLargePagesStep(state, df::Executor::AccessMode::Range);
-}
 BENCHMARK(BM_ExecutorStepLargePages);
-
-void
-BM_ExecutorStepLargePagesPerPage(benchmark::State &state)
-{
-    runLargePagesStep(state, df::Executor::AccessMode::PerPage);
-}
-BENCHMARK(BM_ExecutorStepLargePagesPerPage);
 
 // Same step with a telemetry session attached: the delta against
 // BM_ExecutorStepFastOnly is the *enabled* tracing cost (events +

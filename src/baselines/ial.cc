@@ -73,7 +73,7 @@ IalPolicy::evictForSpace(df::Executor &ex, std::uint64_t bytes_needed)
 }
 
 void
-IalPolicy::onRangeAccess(df::Executor &ex, mem::PageRun run, bool is_write,
+IalPolicy::onRangeAccess(df::Executor &ex, mem::PageRun run, bool,
                          std::vector<df::AccessSegment> &out)
 {
     // IAL only acts on pages sitting idle in slow memory.  Pages that
@@ -95,41 +95,38 @@ IalPolicy::onRangeAccess(df::Executor &ex, mem::PageRun run, bool is_write,
         out.push_back(seg);
         return;
     }
-    // Slow-resident head: hint-fault accounting mutates per-page heat
-    // and may migrate — take the exact per-page path for one page.
-    df::MemoryPolicy::onRangeAccess(ex, run, is_write, out);
+    // Slow-resident idle head: hint-fault accounting mutates per-page
+    // heat and may migrate, so it resolves exactly one page.
+    out.push_back(hintFault(ex, run.first));
 }
 
-df::PageAccessResult
-IalPolicy::onPageAccess(df::Executor &ex, mem::PageId page, bool)
+df::AccessSegment
+IalPolicy::hintFault(df::Executor &ex, mem::PageId page)
 {
-    mem::HeterogeneousMemory &hm = ex.hm();
-    Tick now = ex.now();
-    if (hm.residentTier(page, now) == mem::Tier::Fast ||
-        hm.inFlight(page, now))
-        return {};
-
     // Count page heat through NUMA-style hint faults (each sampled
     // access pays the fault).  Every tensor sharing this page heats
     // it — page-level false sharing at work.
-    int touches = ++slow_touches_[page];
-    df::PageAccessResult out;
+    mem::HeterogeneousMemory &hm = ex.hm();
+    Tick now = ex.now();
+    df::AccessSegment out;
+    out.pages = 1;
     out.extra = hint_fault_cost_;
-    if (touches < threshold_)
-        return out;
+    if (++slow_touches_[page] >= threshold_) {
+        if (hm.tier(mem::Tier::Fast).free() < mem::kPageSize)
+            evictForSpace(ex, 16 * mem::kPageSize);
 
-    if (hm.tier(mem::Tier::Fast).free() < mem::kPageSize)
-        evictForSpace(ex, 16 * mem::kPageSize);
-
-    if (hm.migratePage(page, mem::Tier::Fast, now) >= 0) {
-        ++promotions_;
-        slow_touches_.erase(page);
-        noteFastPage(page);
-        // Fault-driven promotion: the faulting access pays the
-        // in-kernel page copy + remap, then proceeds on the fast copy.
-        out.extra += promote_service_;
-        out.effective = mem::Tier::Fast;
+        if (hm.migratePage(page, mem::Tier::Fast, now) >= 0) {
+            ++promotions_;
+            slow_touches_.erase(page);
+            noteFastPage(page);
+            // Fault-driven promotion: the faulting access pays the
+            // in-kernel page copy + remap, then proceeds on the fast
+            // copy.
+            out.extra += promote_service_;
+            out.effective = mem::Tier::Fast;
+        }
     }
+    out.stall_events = out.extra > 0 ? 1 : 0;
     return out;
 }
 

@@ -55,8 +55,6 @@ class IalPolicy : public df::MemoryPolicy
     void onTensorFreed(df::Executor &ex, df::TensorId id,
                        const df::TensorPlacement &pl) override;
     void onPageUnmapped(df::Executor &ex, mem::PageId page) override;
-    df::PageAccessResult onPageAccess(df::Executor &ex, mem::PageId page,
-                                      bool is_write) override;
     void onRangeAccess(df::Executor &ex, mem::PageRun run, bool is_write,
                        std::vector<df::AccessSegment> &out) override;
 
@@ -71,6 +69,8 @@ class IalPolicy : public df::MemoryPolicy
     std::uint64_t promotionsRequested() const { return promotions_; }
 
   private:
+    /** Hint fault on a slow-resident, idle @p page (may promote it). */
+    df::AccessSegment hintFault(df::Executor &ex, mem::PageId page);
     void evictForSpace(df::Executor &ex, std::uint64_t bytes_needed);
     void noteFastPage(mem::PageId page);
 

@@ -2,39 +2,15 @@
 
 namespace sentinel::baselines {
 
-df::PageAccessResult
-MemoryModePolicy::onPageAccess(df::Executor &ex, mem::PageId page,
-                               bool is_write)
-{
-    const mem::TierParams &slow =
-        ex.hm().tierParams(ex.hm().slowestTier());
-    mem::DramCacheResult r = cache_.access(page, is_write);
-
-    df::PageAccessResult out;
-    // After a (possible) fill, the access is served at DRAM speed.
-    out.effective = mem::Tier::Fast;
-    if (!r.hit) {
-        // Fill from PMM, plus the victim writeback if dirty; both sit
-        // on the access's critical path in Memory Mode.
-        out.extra = transferTime(r.fill_bytes, slow.read_bw) +
-                    slow.read_latency;
-        if (r.writeback_bytes > 0) {
-            out.extra +=
-                transferTime(r.writeback_bytes, slow.write_bw);
-        }
-    }
-    return out;
-}
-
 void
 MemoryModePolicy::onRangeAccess(df::Executor &ex, mem::PageRun run,
                                 bool is_write,
                                 std::vector<df::AccessSegment> &out)
 {
     // The cache result never depends on the simulated clock (pure LRU
-    // state), so a whole run batches into one segment.  Every miss
-    // fills exactly one page, so the aggregate cost decomposes into
-    // per-page terms identical to the onPageAccess() path.
+    // state), so a whole run batches into one segment, served at DRAM
+    // speed after any fills.  Every miss fills exactly one page from
+    // PMM (plus a dirty victim's writeback), all on the critical path.
     const mem::TierParams &slow =
         ex.hm().tierParams(ex.hm().slowestTier());
     mem::DramCacheRangeResult r =

@@ -80,7 +80,7 @@ UnifiedMemoryPolicy::evictLru(df::Executor &ex,
 
 void
 UnifiedMemoryPolicy::onRangeAccess(df::Executor &ex, mem::PageRun run,
-                                   bool is_write,
+                                   bool,
                                    std::vector<df::AccessSegment> &out)
 {
     // Device-resident prefix: LRU touches only, no fault.  The LRU
@@ -105,24 +105,19 @@ UnifiedMemoryPolicy::onRangeAccess(df::Executor &ex, mem::PageRun run,
         return;
     }
     // Host-resident head: the demand-fault path migrates and charges
-    // per page — defer to the exact per-page adapter.
-    df::MemoryPolicy::onRangeAccess(ex, run, is_write, out);
+    // per page, so it resolves exactly one page.
+    out.push_back(demandFault(ex, run.first));
 }
 
-df::PageAccessResult
-UnifiedMemoryPolicy::onPageAccess(df::Executor &ex, mem::PageId page,
-                                  bool)
+df::AccessSegment
+UnifiedMemoryPolicy::demandFault(df::Executor &ex, mem::PageId page)
 {
+    // Demand fault: service + migration fully exposed.
     mem::HeterogeneousMemory &hm = ex.hm();
     Tick now = ex.now();
-    if (hm.residentTier(page, now) == mem::Tier::Fast) {
-        touchLru(page);
-        return {};
-    }
-
-    // Demand fault: service + migration fully exposed.
     ++faults_;
-    df::PageAccessResult out;
+    df::AccessSegment out;
+    out.pages = 1;
     out.extra = fault_cost_;
 
     if (hm.inFlight(page, now)) {
@@ -130,22 +125,22 @@ UnifiedMemoryPolicy::onPageAccess(df::Executor &ex, mem::PageId page,
         // page comes back.
         out.extra += hm.arrivalTime(page) - now;
         out.effective = hm.slowestTier();
-        return out;
-    }
-
-    if (hm.tier(mem::Tier::Fast).free() < mem::kPageSize)
-        evictLru(ex, 32 * mem::kPageSize);
-
-    if (Tick arrival = hm.migratePage(page, mem::Tier::Fast, now);
-        arrival >= 0) {
-        out.extra += arrival - now;
-        out.effective = mem::Tier::Fast;
-        touchLru(page);
     } else {
-        // Device still full (evictions in flight): the fault is
-        // retried against the page's current host-side mapping.
-        out.effective = hm.residentTier(page, now);
+        if (hm.tier(mem::Tier::Fast).free() < mem::kPageSize)
+            evictLru(ex, 32 * mem::kPageSize);
+
+        if (Tick arrival = hm.migratePage(page, mem::Tier::Fast, now);
+            arrival >= 0) {
+            out.extra += arrival - now;
+            out.effective = mem::Tier::Fast;
+            touchLru(page);
+        } else {
+            // Device still full (evictions in flight): the fault is
+            // retried against the page's current host-side mapping.
+            out.effective = hm.residentTier(page, now);
+        }
     }
+    out.stall_events = out.extra > 0 ? 1 : 0;
     return out;
 }
 

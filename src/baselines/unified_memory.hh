@@ -39,14 +39,14 @@ class UnifiedMemoryPolicy : public df::MemoryPolicy
     void onTensorFreed(df::Executor &ex, df::TensorId id,
                        const df::TensorPlacement &pl) override;
     void onPageUnmapped(df::Executor &ex, mem::PageId page) override;
-    df::PageAccessResult onPageAccess(df::Executor &ex, mem::PageId page,
-                                      bool is_write) override;
     void onRangeAccess(df::Executor &ex, mem::PageRun run, bool is_write,
                        std::vector<df::AccessSegment> &out) override;
 
     std::uint64_t demandFaults() const { return faults_; }
 
   private:
+    /** Demand fault on a host-resident @p page (migrates it back). */
+    df::AccessSegment demandFault(df::Executor &ex, mem::PageId page);
     void touchLru(mem::PageId page);
     void evictLru(df::Executor &ex, std::uint64_t bytes_needed);
 

@@ -795,21 +795,15 @@ SentinelPolicy::onStepEnd(df::Executor &ex, int step)
     }
 }
 
-df::PageAccessResult
-SentinelPolicy::onPageAccess(df::Executor &ex, mem::PageId page, bool)
+df::AccessSegment
+SentinelPolicy::demandFault(df::Executor &ex, mem::PageId page)
 {
     // GPU mode only: the device cannot compute out of host memory, so
     // a page that slipped to the host (born when the device was full)
     // is faulted back on first touch — a rare, fully exposed path that
     // keeps large batches *correct*; the plan keeps it infrequent.
-    if (!opts_.gpu_mode)
-        return {};
     mem::HeterogeneousMemory &hm = ex.hm();
     Tick now = ex.now();
-    if (hm.residentTier(page, now) == mem::Tier::Fast ||
-        hm.inFlight(page, now))
-        return {};
-
     if (hm.tier(mem::Tier::Fast).free() < mem::kPageSize)
         evictForSpace(ex, 64 * mem::kPageSize);
 
@@ -819,7 +813,8 @@ SentinelPolicy::onPageAccess(df::Executor &ex, mem::PageId page, bool)
                                 ? ex.attribution()->accessTensor()
                                 : telemetry::kAuditNoTensor;
 
-    df::PageAccessResult out;
+    df::AccessSegment out;
+    out.pages = 1;
     if (Tick arrival = hm.migratePage(page, mem::Tier::Fast, now);
         arrival >= 0) {
         auditAppend(ex, telemetry::AuditReason::kPrefetchDemand, faulted,
@@ -842,6 +837,7 @@ SentinelPolicy::onPageAccess(df::Executor &ex, mem::PageId page, bool)
             out.effective = mem::Tier::Fast;
         }
     }
+    out.stall_events = out.extra > 0 ? 1 : 0;
     return out;
 }
 
@@ -850,19 +846,14 @@ SentinelPolicy::onRangeAccess(df::Executor &ex, mem::PageRun run,
                               bool is_write,
                               std::vector<df::AccessSegment> &out)
 {
+    // CPU mode never reacts to accesses (migration happens at interval
+    // boundaries): the default hook takes the whole run.
     if (!opts_.gpu_mode) {
-        // CPU mode never reacts to accesses (migration happens at
-        // interval boundaries): the whole run is one segment, and the
-        // executor's walk applies stallForInflight() per page across
-        // any migration boundary.
-        df::AccessSegment seg;
-        seg.pages = run.count;
-        out.push_back(seg);
+        df::MemoryPolicy::onRangeAccess(ex, run, is_write, out);
         return;
     }
     // GPU mode: device-resident or already-migrating prefixes take no
-    // fault; a host-resident idle page goes through the exact per-page
-    // demand-fault path.
+    // fault; a host-resident idle head page is demand-faulted back.
     mem::HeterogeneousMemory &hm = ex.hm();
     Tick now = ex.now();
     std::uint64_t covered = 0;
@@ -879,7 +870,7 @@ SentinelPolicy::onRangeAccess(df::Executor &ex, mem::PageRun run,
         out.push_back(seg);
         return;
     }
-    df::MemoryPolicy::onRangeAccess(ex, run, is_write, out);
+    out.push_back(demandFault(ex, run.first));
 }
 
 bool

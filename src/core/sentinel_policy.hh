@@ -142,8 +142,6 @@ class SentinelPolicy : public df::MemoryPolicy
                                const df::TensorDesc &tensor) override;
     void onTensorFreed(df::Executor &ex, df::TensorId id,
                        const df::TensorPlacement &pl) override;
-    df::PageAccessResult onPageAccess(df::Executor &ex, mem::PageId page,
-                                      bool is_write) override;
     void onRangeAccess(df::Executor &ex, mem::PageRun run, bool is_write,
                        std::vector<df::AccessSegment> &out) override;
     bool stallForInflight(df::Executor &ex, mem::PageId page) override;
@@ -245,6 +243,8 @@ class SentinelPolicy : public df::MemoryPolicy
      * space frees as the transfers land.
      */
     void evictForSpace(df::Executor &ex, std::uint64_t bytes_needed);
+    /** GPU mode: fault host-resident, idle @p page back to the device. */
+    df::AccessSegment demandFault(df::Executor &ex, mem::PageId page);
     /** Retry queued prefetches (space frees as demotions complete). */
     void drainPrefetchQueue(df::Executor &ex);
     void issueDemotions(df::Executor &ex, int layer);

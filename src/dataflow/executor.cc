@@ -231,56 +231,21 @@ Executor::accountPages(mem::Tier tier, std::uint64_t idx, std::uint64_t n,
 }
 
 void
-Executor::execUsePerPage(const TensorUse &use, const TensorPlacement &pl,
-                         UseTraffic tr, TensorKind kind, Tick *mem_total)
+Executor::chargeProfilingFaults(mem::PageId first, std::uint64_t n,
+                                const TensorUse &use)
 {
     std::uint64_t episodes = static_cast<std::uint64_t>(
         std::max<std::int64_t>(1, std::llround(use.episodes_per_page)));
-
-    std::uint64_t idx = 0;
-    for (mem::PageId p = pl.firstPage(); p < pl.endPage(); ++p, ++idx) {
-        PageAccessResult r = policy_.onPageAccess(*this, p, use.is_write);
-        if (r.extra > 0)
-            chargeExposed(r.extra);
-
-        mem::Tier tier;
-        if (r.effective) {
-            tier = *r.effective;
-        } else {
-            if (hm_.inFlight(p, now_)) {
-                // Only transfers toward faster memory are worth
-                // stalling for; a demotion in flight still serves
-                // reads from its (faster) source.
-                mem::HeterogeneousMemory::FlightInfo fi =
-                    hm_.flightInfo(p);
-                if (fi.toward_fast &&
-                    policy_.stallForInflight(*this, p)) {
-                    if (attr_)
-                        attr_->setStallLink(fi.link);
-                    stallUntil(hm_.arrivalTime(p));
-                    if (attr_)
-                        attr_->setStallLink(0);
-                }
-            }
-            tier = hm_.residentTier(p, now_);
-        }
-
-        accountPages(tier, idx, 1, tr, use, kind, mem_total);
-
-        if (tracker_) {
-            Tick fault = tracker_->onAccess(p, use.is_write, episodes);
-            if (fault > 0) {
-                if (telemetry_)
-                    telemetry_->emit(telemetry::EventType::ProfilingFault,
-                                     now_, fault, 0,
-                                     static_cast<std::uint32_t>(p));
-                now_ += fault;
-                stats_.fault_overhead += fault;
-                if (attr_)
-                    attr_->chargeFault(fault);
-            }
-        }
-    }
+    Tick fault = tracker_->onAccess(first, n, use.is_write, episodes);
+    if (fault == 0)
+        return;
+    if (telemetry_)
+        telemetry_->emit(telemetry::EventType::ProfilingFault, now_, fault,
+                         0, static_cast<std::uint32_t>(first));
+    now_ += fault;
+    stats_.fault_overhead += fault;
+    if (attr_)
+        attr_->chargeFault(fault);
 }
 
 void
@@ -290,6 +255,16 @@ Executor::execUseRanges(const TensorUse &use, const TensorPlacement &pl,
     const mem::PageId first = pl.firstPage();
     const mem::PageId end = pl.endPage();
     mem::PageId pos = first;
+    // Charge @p n pages from pos served from @p tier, then their
+    // profiling faults.  Faulting after the whole run is exact: a page
+    // not in flight at now_ cannot change tier as the clock advances,
+    // and in-flight pages arrive here one at a time.
+    auto account = [&](mem::Tier tier, std::uint64_t n) {
+        accountPages(tier, pos - first, n, tr, use, kind, mem_total);
+        if (tracker_)
+            chargeProfilingFaults(pos, n, use);
+        pos += n;
+    };
     while (pos < end) {
         seg_buf_.clear();
         policy_.onRangeAccess(*this, mem::PageRun{ pos, end - pos },
@@ -305,20 +280,16 @@ Executor::execUseRanges(const TensorUse &use, const TensorPlacement &pl,
             if (seg.extra > 0 || seg.stall_events > 0)
                 chargeExposedEvents(seg.extra, seg.stall_events);
             if (seg.effective) {
-                accountPages(*seg.effective, pos - first, seg.pages, tr,
-                             use, kind, mem_total);
-                pos += seg.pages;
+                account(*seg.effective, seg.pages);
                 continue;
             }
-            std::uint64_t left = seg.pages;
-            while (left > 0) {
-                mem::PageRunState rs = hm_.residentRange(pos, left, now_);
+            const mem::PageId seg_end = pos + seg.pages;
+            while (pos < seg_end) {
+                mem::PageRunState rs =
+                    hm_.residentRange(pos, seg_end - pos, now_);
                 if (!rs.in_flight) {
                     // The fast path: one charge for the whole run.
-                    accountPages(rs.tier, pos - first, rs.count, tr, use,
-                                 kind, mem_total);
-                    pos += rs.count;
-                    left -= rs.count;
+                    account(rs.tier, rs.count);
                     continue;
                 }
                 // Migration boundary: resolve page by page, since each
@@ -334,10 +305,7 @@ Executor::execUseRanges(const TensorUse &use, const TensorPlacement &pl,
                     if (attr_)
                         attr_->setStallLink(0);
                 }
-                accountPages(hm_.residentTier(pos, now_), pos - first, 1,
-                             tr, use, kind, mem_total);
-                pos += 1;
-                left -= 1;
+                account(hm_.residentTier(pos, now_), 1);
             }
         }
     }
@@ -374,13 +342,7 @@ Executor::execOp(const Operation &op)
                 static_cast<double>(traffic) * traffic_scale);
         UseTraffic tr{ traffic / npages, traffic % npages };
         TensorKind kind = graph_.tensor(use.tensor).kind;
-
-        // Profiling (tracker attached) charges a fault per page, which
-        // advances the clock mid-extent — stay on the exact path.
-        if (access_mode_ == AccessMode::PerPage || tracker_)
-            execUsePerPage(use, pl, tr, kind, &mem_total);
-        else
-            execUseRanges(use, pl, tr, kind, &mem_total);
+        execUseRanges(use, pl, tr, kind, &mem_total);
     }
 
     Tick t = opTime(compute, mem_total, params_);

@@ -7,9 +7,16 @@
  * tensor -> placement table, and page reference counting (multiple
  * tensors may share a page; the page lives while any of them does).
  *
+ * Each tensor use is walked as maximal page runs: the policy's
+ * onRangeAccess() resolves a prefix of the placement into segments,
+ * and the executor charges traffic once per run of pages that share a
+ * tier and are not in flight (in-flight pages go one at a time, since
+ * each has its own arrival).
+ *
  * Optional attachments:
  *  - an AccessTracker models the paper's PTE-poisoning profiler
- *    (counts page accesses, charges fault overhead to the step);
+ *    (counts page accesses, charges fault overhead to the step once
+ *    per accounted run);
  *  - a TraceRecorder captures per-tier traffic for Fig. 9;
  *  - a telemetry::Session records structured events (op/step spans,
  *    stalls, faults) and counters for Chrome-trace/CSV export.
@@ -40,12 +47,6 @@ namespace sentinel::df {
 class Executor
 {
   public:
-    /** How execOp resolves tensor placements (see setAccessMode). */
-    enum class AccessMode {
-        Range,   ///< walk maximal same-state page runs (production)
-        PerPage, ///< legacy page-by-page loop (differential testing)
-    };
-
     Executor(const Graph &graph, mem::HeterogeneousMemory &hm,
              ExecParams params, MemoryPolicy &policy);
 
@@ -73,15 +74,6 @@ class Executor
     const TensorPlacement &placementOf(TensorId id) const;
     /** Number of live tensors overlapping @p page (0 if unmapped). */
     int pageRefCount(mem::PageId page) const;
-
-    /**
-     * Select the placement-walk strategy.  Range (the default) charges
-     * traffic once per maximal same-tier non-in-flight run; PerPage
-     * replays the historical page loop.  Both produce identical
-     * StepStats — PerPage exists so tests can prove it.
-     */
-    void setAccessMode(AccessMode mode) { access_mode_ = mode; }
-    AccessMode accessMode() const { return access_mode_; }
 
     // --- Time charging (policy hooks use these) -----------------------------
 
@@ -146,8 +138,6 @@ class Executor
     void allocateTensor(TensorId id);
     void freeTensor(TensorId id);
     void execOp(const Operation &op);
-    void execUsePerPage(const TensorUse &use, const TensorPlacement &pl,
-                        UseTraffic tr, TensorKind kind, Tick *mem_total);
     void execUseRanges(const TensorUse &use, const TensorPlacement &pl,
                        UseTraffic tr, TensorKind kind, Tick *mem_total);
     /** Charge traffic/time/telemetry for @p n pages starting at
@@ -155,6 +145,9 @@ class Executor
     void accountPages(mem::Tier tier, std::uint64_t idx, std::uint64_t n,
                       UseTraffic tr, const TensorUse &use, TensorKind kind,
                       Tick *mem_total);
+    /** Charge the profiling faults of @p n pages from @p first. */
+    void chargeProfilingFaults(mem::PageId first, std::uint64_t n,
+                               const TensorUse &use);
     void notePeakFastUsage();
 
     const Graph &graph_;
@@ -177,7 +170,6 @@ class Executor
     std::vector<std::uint8_t> live_;
     mem::PageDirectory<std::int32_t> page_refs_;
 
-    AccessMode access_mode_ = AccessMode::Range;
     std::vector<AccessSegment> seg_buf_; ///< reused per onRangeAccess call
 
     mem::AccessTracker *tracker_ = nullptr;

@@ -11,8 +11,11 @@
  *    planned policies schedule prefetches and evictions;
  *  - allocate()/free notifications, where layout policies choose
  *    addresses (and therefore page sharing) and initial tiers;
- *  - onPageAccess(), where reactive page-level policies (IAL, UM,
- *    Memory Mode) migrate on demand and charge critical-path costs.
+ *  - onRangeAccess(), the one access hook: the executor hands over a
+ *    run of a tensor's pages and the policy resolves a prefix of it.
+ *    Reactive policies (IAL, UM, Memory Mode, Sentinel's GPU mode)
+ *    migrate on demand there and charge critical-path costs; every
+ *    other policy keeps the default, which takes no action.
  *
  * Hooks may charge time to the step through the Executor's charge*
  * methods; they never mutate the clock directly.
@@ -35,22 +38,6 @@ namespace sentinel::df {
 
 class Executor;
 
-/** Result of the per-page access hook. */
-struct PageAccessResult {
-    /**
-     * Critical-path cost injected by the policy (demand-fault service,
-     * cache-miss fill, ...).  Charged as exposed migration time.
-     */
-    Tick extra = 0;
-
-    /**
-     * If set, the access is served from this tier regardless of the
-     * page table (e.g. a Memory-Mode DRAM cache hit, or a page the
-     * policy just faulted in synchronously).
-     */
-    std::optional<mem::Tier> effective;
-};
-
 /**
  * One policy-resolved segment of a batched range access: the leading
  * @c pages of the range all receive the same treatment.
@@ -65,11 +52,15 @@ struct AccessSegment {
     /**
      * How many distinct stall events @c extra aggregates (a per-page
      * fault loop collapsed into one segment still counts every fault),
-     * so StepStats::num_stalls matches the per-page path exactly.
+     * so StepStats::num_stalls counts faults, not segments.
      */
     std::uint64_t stall_events = 0;
 
-    /** As PageAccessResult::effective, applied to the whole segment. */
+    /**
+     * If set, the segment is served from this tier regardless of the
+     * page table (e.g. Memory-Mode DRAM cache hits, or a page the
+     * policy just faulted in synchronously).
+     */
     std::optional<mem::Tier> effective;
 };
 
@@ -117,27 +108,25 @@ class MemoryPolicy
 
     // --- Access ------------------------------------------------------------
 
-    /** Called for every page touched by every op. */
-    virtual PageAccessResult
-    onPageAccess(Executor &, mem::PageId, bool /*is_write*/)
-    {
-        return {};
-    }
-
     /**
-     * Batched access hook: resolve a prefix of @p run into one or more
+     * Access hook: resolve a prefix of @p run into one or more
      * segments appended to @p out.  The executor re-invokes with the
      * uncovered remainder, so covering a single page is always legal.
      *
-     * The default adapter routes exactly one page through
-     * onPageAccess(), reproducing the legacy page-by-page interleaving
-     * (policy hook, stall, clock advance per page) bit-for-bit — any
-     * policy that doesn't override this keeps working unchanged.
-     * Policies that override it MUST only batch pages whose treatment
-     * cannot depend on the clock advancing between them.
+     * The default takes no action: the whole run is one segment, and
+     * the executor's walk resolves residency itself, consulting
+     * stallForInflight() page by page across any migration boundary.
+     * Overrides MUST only batch pages whose treatment cannot depend on
+     * the clock advancing between them.
      */
-    virtual void onRangeAccess(Executor &ex, mem::PageRun run, bool is_write,
-                               std::vector<AccessSegment> &out);
+    virtual void
+    onRangeAccess(Executor &, mem::PageRun run, bool /*is_write*/,
+                  std::vector<AccessSegment> &out)
+    {
+        AccessSegment seg;
+        seg.pages = run.count;
+        out.push_back(seg);
+    }
 
     /**
      * A touched page is in flight toward fast memory.  Return true to

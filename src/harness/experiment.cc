@@ -248,6 +248,13 @@ validate(const ExperimentConfig &cfg, const std::string &policy)
             "config: sentinel.rs_cap_fraction must lie in (0, 1] "
             "(got %g)",
             cfg.sentinel.rs_cap_fraction));
+    if (!cfg.chaos.empty()) {
+        try {
+            sim::FaultSpec::parse(cfg.chaos);
+        } catch (const std::invalid_argument &e) {
+            throw ConfigError(strprintf("config: %s", e.what()));
+        }
+    }
 }
 
 Run::Run(const ExperimentConfig &cfg, const std::string &policy,

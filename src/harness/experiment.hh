@@ -214,7 +214,8 @@ const std::vector<std::string> &gpuPolicies();
 /**
  * Throw ConfigError unless @p policy under @p cfg passes every
  * precondition decidable before the model is built (policy name,
- * batch, steps/warmup, planner, tier knobs, Sentinel's pool fraction).
+ * batch, steps/warmup, planner, tier knobs, Sentinel's pool fraction,
+ * the chaos spec).
  * Run checks the model-dependent rest: the model name and the sized
  * tiers.
  */

@@ -12,8 +12,9 @@
  *
  * This class reproduces both properties: exact per-page counts, and a
  * per-observation Tick cost the executor charges to the profiling step.
- * State lives in a chunked PageDirectory rather than a hash map, so the
- * per-access lookup on the executor's range path is two loads.
+ * The executor reports accesses a page run at a time (one call per run
+ * it accounts); state lives in a chunked PageDirectory rather than a
+ * hash map, so each page of a run costs two loads.
  */
 
 #ifndef SENTINEL_MEM_ACCESS_TRACKER_HH
@@ -70,12 +71,14 @@ class AccessTracker
     bool isTracked(PageId page) const;
 
     /**
-     * Observe @p count accesses to @p page.
+     * Observe @p count accesses to each of the @p n pages from
+     * @p first (a run of one is a single page).
      *
-     * @return the fault-handling cost to charge to the critical path
-     *         (zero if the page is not tracked).
+     * @return the fault-handling cost to charge to the critical path:
+     *         one fault per access to a tracked page, none otherwise.
      */
-    Tick onAccess(PageId page, bool is_write, std::uint64_t count = 1);
+    Tick onAccess(PageId first, std::uint64_t n, bool is_write,
+                  std::uint64_t count);
 
     /**
      * Snapshot of every page with tracking state or recorded counts,

@@ -149,7 +149,6 @@ Profiler::profile(const df::Graph &graph, mem::HeterogeneousMemory &hm,
     df::Executor ex(graph, hm, params, policy);
     mem::AccessTracker tracker(opts_.fault_cost);
     ex.setAccessTracker(&tracker);
-    ex.setTelemetry(telemetry_);
 
     result.profiling_step = ex.runStep();
 
@@ -229,7 +228,6 @@ Profiler::profilePageLevel(const df::Graph &graph,
     df::Executor ex(graph, hm, params, policy);
     mem::AccessTracker tracker(opts_.fault_cost);
     ex.setAccessTracker(&tracker);
-    ex.setTelemetry(telemetry_);
     ex.runStep();
 
     std::vector<PageLevelEntry> out;

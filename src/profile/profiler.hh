@@ -10,7 +10,9 @@
  *  - the runtime side records allocation/free and layer boundaries,
  *    yielding size + lifetime + layer association;
  *  - fault servicing makes the profiling step several times slower
- *    (amortized over millions of steps, Sec. VII-B);
+ *    (amortized over millions of steps, Sec. VII-B); the executor's
+ *    run walk charges each tensor's faults once per page run, with
+ *    the same per-page counts and the same total cost;
  *  - page alignment inflates the footprint only during this step
  *    (memory overhead, Table III);
  *  - in GPU mode, profiling runs through customized pinned host
@@ -94,14 +96,6 @@ class Profiler
     explicit Profiler(ProfilerOptions opts = {}) : opts_(opts) {}
 
     /**
-     * Attach a telemetry session (null detaches): the profiling step's
-     * executor then emits op spans and one ProfilingFault event per
-     * serviced poisoned-PTE fault, making the profiling phase itself
-     * inspectable in the exported trace.
-     */
-    void setTelemetry(telemetry::Session *session) { telemetry_ = session; }
-
-    /**
      * Run the one-step tensor-level profiling of @p graph against a
      * fresh slow-memory-backed executor on @p hm.
      */
@@ -120,7 +114,6 @@ class Profiler
 
   private:
     ProfilerOptions opts_;
-    telemetry::Session *telemetry_ = nullptr;
 };
 
 } // namespace sentinel::prof

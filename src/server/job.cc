@@ -1,5 +1,6 @@
 #include "server/job.hh"
 
+#include <charconv>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -51,6 +52,22 @@ parseDouble(const std::string &key, const std::string &v)
         throw harness::ConfigError(strprintf(
             "job spec: %s wants a number, got '%s'", key.c_str(),
             v.c_str()));
+    return x;
+}
+
+/** The whole value, decimal or 0x hex (seeds print as hex). */
+std::uint64_t
+parseU64(const std::string &key, const std::string &v)
+{
+    const char *last = v.data() + v.size();
+    std::uint64_t x = 0;
+    std::from_chars_result r =
+        v.rfind("0x", 0) == 0 ? std::from_chars(v.data() + 2, last, x, 16)
+                              : std::from_chars(v.data(), last, x);
+    if (v.empty() || r.ec != std::errc() || r.ptr != last)
+        throw harness::ConfigError(strprintf(
+            "job spec: %s wants a decimal or 0x hex integer, got '%s'",
+            key.c_str(), v.c_str()));
     return x;
 }
 
@@ -112,7 +129,7 @@ JobSpec::parse(const std::string &text)
         } else if (key == "chaos") {
             spec.chaos = val;
         } else if (key == "chaos-seed") {
-            spec.chaos_seed = std::strtoull(val.c_str(), nullptr, 0);
+            spec.chaos_seed = parseU64(key, val);
         } else {
             throw harness::ConfigError(strprintf(
                 "job spec: unknown key '%s' (in '%s')", key.c_str(),

@@ -4,12 +4,22 @@
 #include <cmath>
 #include <cstdlib>
 #include <sstream>
+#include <stdexcept>
 
 #include "common/logging.hh"
 
 namespace sentinel::sim {
 
 namespace {
+
+/// A malformed spec is rejected input, not a runtime failure: callers
+/// (harness::validate()) map std::invalid_argument to a ConfigError.
+template <typename... Args>
+[[noreturn]] void
+reject(const char *fmt, Args... args)
+{
+    throw std::invalid_argument(strprintf(fmt, args...));
+}
 
 /// splitmix64: tiny, well-mixed, and stateless — exactly what the
 /// per-(seed, step, layer) jitter needs to stay order-independent.
@@ -47,7 +57,7 @@ parseChannel(const std::string &v, const std::string &clause)
     if (v == "promote") return ChannelSel::Promote;
     if (v == "demote") return ChannelSel::Demote;
     if (v == "both") return ChannelSel::Both;
-    SENTINEL_FATAL("chaos clause '%s': bad channel '%s' "
+    reject("chaos clause '%s': bad channel '%s' "
                    "(want promote|demote|both)",
                    clause.c_str(), v.c_str());
 }
@@ -58,7 +68,7 @@ parseDouble(const std::string &v, const std::string &clause)
     char *end = nullptr;
     double d = std::strtod(v.c_str(), &end);
     if (end == v.c_str() || *end != '\0')
-        SENTINEL_FATAL("chaos clause '%s': bad number '%s'", clause.c_str(),
+        reject("chaos clause '%s': bad number '%s'", clause.c_str(),
                        v.c_str());
     return d;
 }
@@ -72,7 +82,7 @@ FaultSpec::parse(const std::string &text)
     for (const std::string &clause : splitOn(text, ';')) {
         auto colon = clause.find(':');
         if (colon == std::string::npos)
-            SENTINEL_FATAL("chaos clause '%s': want kind:key=val,...",
+            reject("chaos clause '%s': want kind:key=val,...",
                            clause.c_str());
         std::string kind = clause.substr(0, colon);
 
@@ -89,7 +99,7 @@ FaultSpec::parse(const std::string &text)
         } else if (kind == "drift") {
             ev.kind = FaultKind::TrafficDrift;
         } else {
-            SENTINEL_FATAL("chaos clause '%s': unknown kind '%s' "
+            reject("chaos clause '%s': unknown kind '%s' "
                            "(want bw|stall|shrink|jitter|drift)",
                            clause.c_str(), kind.c_str());
         }
@@ -97,7 +107,7 @@ FaultSpec::parse(const std::string &text)
         for (const std::string &kv : splitOn(clause.substr(colon + 1), ',')) {
             auto eq = kv.find('=');
             if (eq == std::string::npos)
-                SENTINEL_FATAL("chaos clause '%s': bad key=val '%s'",
+                reject("chaos clause '%s': bad key=val '%s'",
                                clause.c_str(), kv.c_str());
             std::string key = kv.substr(0, eq);
             std::string val = kv.substr(eq + 1);
@@ -118,46 +128,46 @@ FaultSpec::parse(const std::string &text)
                 ev.channel = parseChannel(val, clause);
             } else if (key == "tier") {
                 if (ev.kind != FaultKind::CapacityShrink)
-                    SENTINEL_FATAL("chaos clause '%s': key 'tier' is only "
+                    reject("chaos clause '%s': key 'tier' is only "
                                    "valid for shrink",
                                    clause.c_str());
                 double t = parseDouble(val, clause);
                 if (t < 0.0 || t >= static_cast<double>(kMaxFaultTiers))
-                    SENTINEL_FATAL("chaos clause '%s': tier must be in "
+                    reject("chaos clause '%s': tier must be in "
                                    "[0, %u)",
                                    clause.c_str(), kMaxFaultTiers);
                 ev.tier = static_cast<unsigned>(t);
             } else {
-                SENTINEL_FATAL("chaos clause '%s': unknown key '%s'",
+                reject("chaos clause '%s': unknown key '%s'",
                                clause.c_str(), key.c_str());
             }
         }
 
         if (!have_step)
-            SENTINEL_FATAL("chaos clause '%s': missing step=", clause.c_str());
+            reject("chaos clause '%s': missing step=", clause.c_str());
         switch (ev.kind) {
         case FaultKind::BwDegrade:
         case FaultKind::CapacityShrink:
         case FaultKind::TrafficDrift:
             if (ev.factor <= 0.0)
-                SENTINEL_FATAL("chaos clause '%s': factor must be > 0",
+                reject("chaos clause '%s': factor must be > 0",
                                clause.c_str());
             break;
         case FaultKind::ChannelStall:
             if (ev.duration <= 0)
-                SENTINEL_FATAL("chaos clause '%s': want ms= or us= > 0",
+                reject("chaos clause '%s': want ms= or us= > 0",
                                clause.c_str());
             break;
         case FaultKind::ComputeJitter:
             if (ev.amplitude <= 0.0 || ev.amplitude >= 1.0)
-                SENTINEL_FATAL("chaos clause '%s': amp must be in (0, 1)",
+                reject("chaos clause '%s': amp must be in (0, 1)",
                                clause.c_str());
             break;
         }
         spec.events.push_back(ev);
     }
     if (spec.events.empty())
-        SENTINEL_FATAL("empty chaos spec '%s'", text.c_str());
+        reject("empty chaos spec '%s'", text.c_str());
     return spec;
 }
 

@@ -74,14 +74,14 @@ struct FaultEvent {
  *     jitter:step=3,amp=0.2
  *     drift:step=5,factor=1.3
  *
- * Unknown clause or key names are fatal (they are experiment
+ * Unknown clause or key names are rejected (they are experiment
  * configuration, and a typo must not silently run the wrong chaos).
  */
 struct FaultSpec {
     std::vector<FaultEvent> events;
     std::uint64_t seed = 0x5e97195eull;
 
-    /** Parse @p text; throws (via SENTINEL_FATAL) on malformed input. */
+    /** Parse @p text; throws std::invalid_argument on malformed input. */
     static FaultSpec parse(const std::string &text);
 };
 

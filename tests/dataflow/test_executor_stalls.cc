@@ -10,6 +10,7 @@
 
 #include "alloc/arena.hh"
 #include "dataflow/executor.hh"
+#include "mem/access_tracker.hh"
 
 namespace sentinel::df {
 namespace {
@@ -101,6 +102,28 @@ TEST(ExecutorStalls, StallModeWaitsAndReadsFast)
     EXPECT_EQ(s.bytes_fast, 4 * mem::kPageSize);
 }
 
+TEST(ExecutorStalls, ProfilingFaultsAdvanceClockBeforeLaterPages)
+{
+    // With a tracker attached, each accounted run's faults advance the
+    // clock before the walk judges the next page.  10 us of fault per
+    // page outlasts the 4096 ns per-page arrivals of the l1 prefetch,
+    // so only its first page is stalled for: the rest have landed by
+    // the time the walk reaches them.
+    Graph g = twoLayerGraph();
+    auto hm = makeHm();
+    PrefetchAtL1 policy(/*stall=*/true);
+    Executor ex(g, hm, ExecParams{ 1e12, 0 }, policy);
+    mem::AccessTracker tracker(10 * kUsec);
+    ex.setAccessTracker(&tracker);
+    StepStats s = ex.runStep();
+
+    EXPECT_EQ(s.num_stalls, 1u);
+    EXPECT_EQ(s.exposed_migration, 4096);
+    EXPECT_EQ(s.bytes_fast, 4 * mem::kPageSize);
+    EXPECT_EQ(s.fault_overhead,
+              static_cast<Tick>(tracker.totalFaults()) * 10 * kUsec);
+}
+
 TEST(ExecutorStalls, LeaveModeReadsSlowWithoutStall)
 {
     Graph g = twoLayerGraph();
@@ -128,10 +151,17 @@ class OverridePolicy : public MemoryPolicy
         return { arena_.allocate(t.bytes, 64), mem::Tier::Slow };
     }
 
-    PageAccessResult
-    onPageAccess(Executor &, mem::PageId, bool) override
+    void
+    onRangeAccess(Executor &, mem::PageRun run, bool,
+                  std::vector<AccessSegment> &out) override
     {
-        return { 100, mem::Tier::Fast };
+        // 100 ticks per page, one stall per page, all served fast.
+        AccessSegment seg;
+        seg.pages = run.count;
+        seg.extra = 100 * static_cast<Tick>(run.count);
+        seg.stall_events = run.count;
+        seg.effective = mem::Tier::Fast;
+        out.push_back(seg);
     }
 
   private:
@@ -151,7 +181,10 @@ TEST(ExecutorStalls, EffectiveTierOverrideBypassesResidency)
     // showing up as exposed time.
     EXPECT_EQ(s.bytes_slow, 0u);
     EXPECT_GT(s.bytes_fast, 0u);
-    EXPECT_GT(s.exposed_migration, 0);
+    // 10 page touches: big's 4 pages in each layer plus one page for
+    // each output.
+    EXPECT_EQ(s.exposed_migration, 10 * 100);
+    EXPECT_EQ(s.num_stalls, 10u);
 }
 
 /** Demotes `big` after layer 0; layer 1 reads it mid-demotion. */

@@ -1,25 +1,32 @@
 /**
  * @file
- * Differential tests for the extent-granular hot path.
+ * Differential tests for the executor's run walk.
  *
- * The range walk (Executor::AccessMode::Range) is a performance
- * feature; semantically it must be invisible.  Every combination of
- * {Range, PerPage} access mode x {batched, per-page} policy hook must
- * produce StepStats that are equal field-for-field, on a graph
+ * The walk charges traffic, stalls, and profiling faults once per page
+ * run; semantically that batching must be invisible.  Each test runs a
+ * policy bare and wrapped in the test-only OnePagePolicy (one page per
+ * onRangeAccess() call — the page-by-page interleaving) and requires
+ * StepStats equal field for field, exact stall attribution on both
+ * sides, and (when profiling) identical tracker counts.  The graph is
  * engineered to hit the awkward cases: multi-page tensors, odd
- * (non-page-multiple) traffic, and migrations still in flight in the
- * middle of an accessed extent.
+ * (non-page-multiple) traffic, pages shared by the packed layout, and
+ * migrations still in flight in the middle of an accessed extent.
  */
 
+#include <algorithm>
 #include <cstdint>
 #include <initializer_list>
+#include <memory>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "alloc/arena.hh"
 #include "dataflow/executor.hh"
+#include "mem/access_tracker.hh"
 #include "mem/hm.hh"
+#include "support/one_page_policy.hh"
+#include "telemetry/attribution.hh"
 
 namespace sentinel::df {
 namespace {
@@ -36,8 +43,8 @@ constexpr std::uint64_t kPage = mem::kPageSize;
 class MigratingTestPolicy : public MemoryPolicy
 {
   public:
-    MigratingTestPolicy(TensorId weight, bool batched_ranges)
-        : weight_(weight), batched_(batched_ranges), arena_(0)
+    MigratingTestPolicy(TensorId weight, bool split_ranges)
+        : weight_(weight), split_(split_ranges), arena_(0)
     {
     }
 
@@ -77,19 +84,23 @@ class MigratingTestPolicy : public MemoryPolicy
     onRangeAccess(Executor &ex, mem::PageRun run, bool is_write,
                   std::vector<AccessSegment> &out) override
     {
-        if (!batched_) {
-            // Exercise the default one-page adapter.
+        if (!split_) {
             MemoryPolicy::onRangeAccess(ex, run, is_write, out);
             return;
         }
-        AccessSegment seg;
-        seg.pages = run.count;
-        out.push_back(seg);
+        // Several segments from one call: cover the run in 3-page
+        // pieces to exercise the executor's multi-segment loop.
+        for (std::uint64_t done = 0; done < run.count;) {
+            AccessSegment seg;
+            seg.pages = std::min<std::uint64_t>(3, run.count - done);
+            done += seg.pages;
+            out.push_back(seg);
+        }
     }
 
   private:
     TensorId weight_;
-    bool batched_;
+    bool split_;
     alloc::VirtualArena arena_;
 };
 
@@ -138,15 +149,51 @@ makeHm()
     return mem::HeterogeneousMemory({ fast, slow }, { mig });
 }
 
-std::vector<StepStats>
-runCombo(Executor::AccessMode mode, bool batched_policy, int steps = 3)
+/** What one run of the test graph observed. */
+struct Observed {
+    std::vector<StepStats> stats;
+    telemetry::AttributionEngine attr;
+    mem::AccessTracker tracker;
+};
+
+/**
+ * Run the test graph for 3 steps under MigratingTestPolicy: split or
+ * whole-run hook, bare or through the one-page reference, with or
+ * without the profiling tracker attached.
+ */
+std::unique_ptr<Observed>
+runCase(bool split_hook, bool one_page, bool profile = false)
 {
+    auto out = std::make_unique<Observed>();
     TestGraph tg;
     auto hm = makeHm();
-    MigratingTestPolicy policy(tg.weight, batched_policy);
-    Executor ex(tg.graph, hm, ExecParams{}, policy);
-    ex.setAccessMode(mode);
-    return ex.run(steps);
+    MigratingTestPolicy policy(tg.weight, split_hook);
+    testing::OnePagePolicy reference(policy);
+    Executor ex(tg.graph, hm, ExecParams{},
+                one_page ? static_cast<MemoryPolicy &>(reference)
+                         : policy);
+    ex.setAttribution(&out->attr);
+    if (profile)
+        ex.setAccessTracker(&out->tracker);
+    out->stats = ex.run(3);
+    return out;
+}
+
+void
+expectExactAttribution(const Observed &o)
+{
+    ASSERT_EQ(o.attr.steps().size(), o.stats.size());
+    EXPECT_TRUE(o.attr.allExact());
+    for (std::size_t i = 0; i < o.stats.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "step " << i);
+        const auto &b = o.attr.steps()[i].bucket;
+        const StepStats &s = o.stats[i];
+        EXPECT_EQ(b.total(), s.step_time);
+        EXPECT_EQ(b.exposedMigration(), s.exposed_migration);
+        EXPECT_EQ(b.component(telemetry::AttrComponent::Fault),
+                  s.fault_overhead);
+        EXPECT_EQ(b.stall_events, s.num_stalls);
+    }
 }
 
 void
@@ -173,13 +220,23 @@ expectSameStats(const std::vector<StepStats> &a,
     }
 }
 
+/** Run walk vs. one-page reference: stats and attribution agree. */
+void
+expectSameRun(const Observed &run, const Observed &ref)
+{
+    expectSameStats(run.stats, ref.stats);
+    expectExactAttribution(run);
+    expectExactAttribution(ref);
+    EXPECT_EQ(run.attr.totals().ticks, ref.attr.totals().ticks);
+}
+
 TEST(ExtentEquivalence, MigrationActuallyOverlapsAccesses)
 {
     // Guard: the scenario must exercise what it claims to — stalls
     // from in-flight pages and traffic from both tiers.
-    auto stats = runCombo(Executor::AccessMode::Range, false);
+    auto o = runCase(false, false);
     bool stalled = false, fast = false, slow = false;
-    for (const auto &s : stats) {
+    for (const auto &s : o->stats) {
         stalled |= s.num_stalls > 0;
         fast |= s.bytes_fast > 0;
         slow |= s.bytes_slow > 0;
@@ -191,32 +248,58 @@ TEST(ExtentEquivalence, MigrationActuallyOverlapsAccesses)
 
 TEST(ExtentEquivalence, RangeWalkMatchesPerPageWalk)
 {
-    expectSameStats(runCombo(Executor::AccessMode::Range, false),
-                    runCombo(Executor::AccessMode::PerPage, false));
+    expectSameRun(*runCase(false, false), *runCase(false, true));
 }
 
 TEST(ExtentEquivalence, BatchedPolicyHookMatchesPerPageHook)
 {
-    expectSameStats(runCombo(Executor::AccessMode::Range, true),
-                    runCombo(Executor::AccessMode::PerPage, false));
+    expectSameRun(*runCase(true, false), *runCase(false, true));
 }
 
 TEST(ExtentEquivalence, TrafficBytesAreExact)
 {
     // The per-page split of use.traffic_bytes must not lose the
     // division remainder: fast + slow traffic equals the graph's
-    // traffic exactly, in both walk modes.
-    TestGraph tg;
-    for (auto mode : { Executor::AccessMode::Range,
-                       Executor::AccessMode::PerPage }) {
-        auto hm = makeHm();
-        MigratingTestPolicy policy(tg.weight, false);
-        Executor ex(tg.graph, hm, ExecParams{}, policy);
-        ex.setAccessMode(mode);
-        for (const auto &s : ex.run(3))
-            EXPECT_EQ(s.bytes_fast + s.bytes_slow,
-                      tg.traffic_per_step);
+    // traffic exactly, on the run walk and the one-page reference.
+    const std::uint64_t traffic = TestGraph().traffic_per_step;
+    for (bool one_page : { false, true }) {
+        SCOPED_TRACE(one_page ? "one-page" : "run walk");
+        auto o = runCase(false, one_page);
+        for (const auto &s : o->stats)
+            EXPECT_EQ(s.bytes_fast + s.bytes_slow, traffic);
     }
+}
+
+TEST(ExtentEquivalence, ProfilingRunWalkMatchesPerPageWalk)
+{
+    // Faults charged once per run must leave the clock, and so every
+    // later residency check and stall, where one fault per page would:
+    // same StepStats, same per-page counts, same fault total.
+    auto run = runCase(false, false, true);
+    auto ref = runCase(false, true, true);
+    expectSameRun(*run, *ref);
+    EXPECT_EQ(run->tracker.totalFaults(), ref->tracker.totalFaults());
+    EXPECT_GT(run->tracker.totalFaults(), 0u);
+
+    auto a = run->tracker.allCounts();
+    auto b = ref->tracker.allCounts();
+    ASSERT_EQ(a.size(), b.size());
+    for (std::size_t i = 0; i < a.size(); ++i) {
+        SCOPED_TRACE(::testing::Message() << "page " << a[i].first);
+        EXPECT_EQ(a[i].first, b[i].first);
+        EXPECT_EQ(a[i].second.counts.reads, b[i].second.counts.reads);
+        EXPECT_EQ(a[i].second.counts.writes, b[i].second.counts.writes);
+        EXPECT_EQ(a[i].second.tracked, b[i].second.tracked);
+    }
+
+    // Non-vacuous: faults were charged and migrations still stalled
+    // the profiled step.
+    bool stalled = false;
+    for (const auto &s : run->stats) {
+        EXPECT_GT(s.fault_overhead, 0);
+        stalled |= s.num_stalls > 0;
+    }
+    EXPECT_TRUE(stalled);
 }
 
 } // namespace

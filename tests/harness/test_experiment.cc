@@ -177,6 +177,31 @@ TEST(Harness, RejectsUnknownPlannerAsConfigError)
     EXPECT_THROW(runExperiment(cfg, "numa"), ConfigError);
 }
 
+TEST(Harness, RejectsMalformedChaosSpecAsConfigError)
+{
+    // Parsed by validate(), before any model is built: even a model
+    // that cannot build reports the chaos spec.
+    ExperimentConfig cfg = smallConfig();
+    for (const char *spec : { "bogus=1", "warp:step=1,factor=0.5",
+                              "bw:step=1,factor=0", "stall:step=1",
+                              "bw:step=1,factor=0.5,frob=1", ";" }) {
+        cfg.chaos = spec;
+        EXPECT_THROW(validate(cfg, "numa"), ConfigError) << spec;
+    }
+    cfg.model = "no-such-model";
+    cfg.chaos = "bogus=1";
+    try {
+        runExperiment(cfg, "numa");
+        ADD_FAILURE() << "malformed chaos spec accepted";
+    } catch (const ConfigError &e) {
+        EXPECT_NE(std::string(e.what()).find("chaos"), std::string::npos)
+            << e.what();
+    }
+    cfg = smallConfig();
+    cfg.chaos = "bw:step=6,factor=0.5;stall:step=7,ms=2";
+    EXPECT_NO_THROW(validate(cfg, "numa"));
+}
+
 TEST(Harness, RejectsWarmupOutsideSteps)
 {
     ExperimentConfig cfg = smallConfig();

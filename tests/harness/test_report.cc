@@ -2,13 +2,14 @@
  * @file
  * Property tests for stall attribution and the report surface.
  *
- * The load-bearing invariant: in both executor access modes (the Range
- * extent walk and the PerPage walk), the attributed components sum
- * EXACTLY (tick for tick) to the StepStats totals the executor
- * reported — attribution is a decomposition, never an estimate.  On top of that, the rendered
- * report must be bit-identical between serial and parallel rendering,
- * and a stalling Sentinel run must name at least one offending tensor
- * with the audit reason behind its placement.
+ * The load-bearing invariant: the attributed components sum EXACTLY
+ * (tick for tick) to the StepStats totals the executor reported —
+ * attribution is a decomposition, never an estimate.  (The same
+ * identity on the one-page reference walk is checked in
+ * tests/dataflow/test_extent_equivalence.cc.)  On top of that, the
+ * rendered report must be bit-identical between serial and parallel
+ * rendering, and a stalling Sentinel run must name at least one
+ * offending tensor with the audit reason behind its placement.
  */
 
 #include <gtest/gtest.h>
@@ -32,9 +33,9 @@ struct CaseResult {
     telemetry::AuditLog audit;
 };
 
-/** One Sentinel run of a small model under the given access mode. */
+/** One Sentinel run of a small model. */
 std::unique_ptr<CaseResult>
-runCase(df::Executor::AccessMode mode)
+runCase()
 {
     auto out = std::make_unique<CaseResult>();
 
@@ -44,41 +45,30 @@ runCase(df::Executor::AccessMode mode)
     cfg.attribution = &out->attr;
     cfg.audit = &out->audit;
     harness::Run run(cfg, "sentinel");
-    run.executor().setAccessMode(mode);
     out->stats = run.executor().run(4);
     return out;
 }
 
-TEST(AttributionProperty, ExactAcrossAccessModes)
+TEST(AttributionProperty, ExactOnSentinelRun)
 {
-    const struct {
-        df::Executor::AccessMode mode;
-        const char *label;
-    } combos[] = {
-        { df::Executor::AccessMode::Range, "range" },
-        { df::Executor::AccessMode::PerPage, "per-page" },
-    };
-    for (const auto &c : combos) {
-        SCOPED_TRACE(c.label);
-        auto r = runCase(c.mode);
-        // endStep() would already have panicked on drift; re-assert the
-        // identities from the outside against the executor's numbers.
-        ASSERT_EQ(r->attr.steps().size(), r->stats.size());
-        EXPECT_TRUE(r->attr.allExact());
-        for (std::size_t i = 0; i < r->stats.size(); ++i) {
-            const auto &sa = r->attr.steps()[i];
-            const auto &ss = r->stats[i];
-            EXPECT_EQ(sa.bucket.total(), ss.step_time) << "step " << i;
-            EXPECT_EQ(sa.bucket.exposedMigration(), ss.exposed_migration)
-                << "step " << i;
-            EXPECT_EQ(sa.bucket.stall_events, ss.num_stalls)
-                << "step " << i;
-        }
-        // The decomposition must actually be attributing stalls here,
-        // not passing vacuously on a stall-free run.
-        EXPECT_GT(r->attr.totals().exposedMigration(), 0);
-        EXPECT_GT(r->audit.size(), 0u);
+    auto r = runCase();
+    // endStep() would already have panicked on drift; re-assert the
+    // identities from the outside against the executor's numbers.
+    ASSERT_EQ(r->attr.steps().size(), r->stats.size());
+    EXPECT_TRUE(r->attr.allExact());
+    for (std::size_t i = 0; i < r->stats.size(); ++i) {
+        const auto &sa = r->attr.steps()[i];
+        const auto &ss = r->stats[i];
+        EXPECT_EQ(sa.bucket.total(), ss.step_time) << "step " << i;
+        EXPECT_EQ(sa.bucket.exposedMigration(), ss.exposed_migration)
+            << "step " << i;
+        EXPECT_EQ(sa.bucket.stall_events, ss.num_stalls)
+            << "step " << i;
     }
+    // The decomposition must actually be attributing stalls here,
+    // not passing vacuously on a stall-free run.
+    EXPECT_GT(r->attr.totals().exposedMigration(), 0);
+    EXPECT_GT(r->audit.size(), 0u);
 }
 
 class ReportRendering : public ::testing::Test
@@ -87,7 +77,7 @@ class ReportRendering : public ::testing::Test
     static void
     SetUpTestSuite()
     {
-        case_ = runCase(df::Executor::AccessMode::Range).release();
+        case_ = runCase().release();
         graph_ = new df::Graph(models::makeModel("resnet20", 8));
     }
     static void

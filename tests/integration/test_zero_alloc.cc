@@ -135,4 +135,15 @@ TEST(ZeroAlloc, ThreeTierLlmSentinelSteadyStateDoesNotAllocate)
     EXPECT_EQ(warmStepAllocs(cfg, 20), 0u);
 }
 
+TEST(ZeroAlloc, IntervalPlannerSentinelSteadyStateDoesNotAllocate)
+{
+    if (!common::allocHookActive())
+        GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
+    // Sentinel co-allocation laid out by the offline interval planner.
+    harness::ExperimentConfig cfg;
+    cfg.model = "resnet32";
+    cfg.planner = "interval";
+    EXPECT_EQ(warmStepAllocs(cfg, 20), 0u);
+}
+
 } // namespace

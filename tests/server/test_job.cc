@@ -80,6 +80,16 @@ TEST(JobSpec, RejectsMalformedInput)
             << v;
     }
     EXPECT_THROW(JobSpec::parse("arrival-ms=1e300"), harness::ConfigError);
+    // chaos-seed takes the whole value, decimal or 0x hex, like the
+    // CLI's --chaos-seed: no prefix parse, no silent zero.
+    for (const char *v : { "12abc", "banana", "", "0x", "-1", "0x1g",
+                           "99999999999999999999" }) {
+        EXPECT_THROW(JobSpec::parse(std::string("chaos-seed=") + v),
+                     harness::ConfigError)
+            << v;
+    }
+    EXPECT_EQ(JobSpec::parse("chaos-seed=12").chaos_seed, 12u);
+    EXPECT_EQ(JobSpec::parse("chaos-seed=0x1f").chaos_seed, 0x1fu);
 }
 
 TEST(JobSpec, SpecStringRoundTrips)

@@ -128,6 +128,19 @@ class Args
         return number(key, dflt);
     }
 
+    /** --platform: cpu (the default) or gpu; nothing else. */
+    harness::Platform
+    platform() const
+    {
+        const std::string p = get("platform", "cpu");
+        if (p == "cpu")
+            return harness::Platform::Optane;
+        if (p == "gpu")
+            return harness::Platform::Gpu;
+        throw harness::ConfigError(strprintf(
+            "--platform wants cpu or gpu, got '%s'", p.c_str()));
+    }
+
   private:
     /**
      * The whole value of --key as a T, or @p dflt when the key is
@@ -170,9 +183,7 @@ configFrom(const Args &args)
     // spec; they still build via makeModel, so default their batch.
     const models::ModelSpec *spec = models::findModelSpec(cfg.model);
     cfg.batch = args.getInt("batch", spec ? spec->small_batch : 32);
-    cfg.platform = args.get("platform", "cpu") == "gpu"
-                       ? harness::Platform::Gpu
-                       : harness::Platform::Optane;
+    cfg.platform = args.platform();
     cfg.fast_fraction = args.getDouble("fraction", 0.2);
     int mem_mb = args.getInt("mem-mb", 0);
     if (mem_mb > 0)
@@ -683,9 +694,7 @@ int
 cmdServe(const Args &args)
 {
     server::ServerConfig cfg;
-    cfg.platform = args.get("platform", "cpu") == "gpu"
-                       ? harness::Platform::Gpu
-                       : harness::Platform::Optane;
+    cfg.platform = args.platform();
     cfg.fast_bytes =
         static_cast<std::uint64_t>(args.getInt("node-mb", 64)) << 20;
     cfg.headroom = args.getDouble("headroom", 1.0);
