@@ -51,8 +51,8 @@ BM_PageMapUnmap(benchmark::State &state)
     auto hm = makeHm(1ull << 30);
     mem::PageId next = 0;
     for (auto _ : state) {
-        hm.tryMapPage(next, mem::Tier::Fast);
-        hm.unmapPage(next, 0);
+        hm.mapRange(next, 1, mem::Tier::Fast);
+        hm.unmapRange(next, 1, 0);
         ++next;
     }
 }

@@ -111,11 +111,10 @@ ScheduledSwapPolicy::migrateTensor(df::Executor &ex, df::TensorId id,
     if (stall) {
         // Synchronous movement: wait for the whole batch (AutoTM's
         // defining cost — every move sits on the critical path).
+        hm.commitUpTo(ex.now());
         Tick last = 0;
         for (const mem::PageRun &r : batch)
-            for (mem::PageId p = r.first; p < r.endPage(); ++p)
-                if (hm.inFlight(p, ex.now()))
-                    last = std::max(last, hm.arrivalTime(p));
+            last = std::max(last, hm.arrivalTime(r.first, r.count));
         if (last > 0)
             ex.stallUntil(last);
         if (!complete)

@@ -131,16 +131,16 @@ makePolicy(const std::string &name, const ExperimentConfig &cfg,
 }
 
 /** validate(), then build the model.  A name that cannot build
- *  (unknown, or a malformed synthetic:<seed> spec) is a rejected
- *  input, not an infeasible run: surface it as ConfigError instead of
- *  the registry's raw runtime_error. */
+ *  (unknown, or a malformed synthetic:/llm: spec) is a rejected input,
+ *  not an infeasible run: surface the registry's invalid_argument as
+ *  ConfigError. */
 df::Graph
 validatedModel(const ExperimentConfig &cfg, const std::string &policy)
 {
     validate(cfg, policy);
     try {
         return models::makeModel(cfg.model, cfg.batch);
-    } catch (const std::runtime_error &e) {
+    } catch (const std::invalid_argument &e) {
         throw ConfigError(
             strprintf("config: cannot build model: %s", e.what()));
     }

@@ -56,57 +56,17 @@ HeterogeneousMemory::HeterogeneousMemory(std::vector<TierParams> tiers,
     }
 }
 
-bool
-HeterogeneousMemory::tryMapPage(PageId page, Tier t)
-{
-    // Chains shorter than a caller assumes (a single-tier system asked
-    // for Tier::Slow) simply have no such tier to map into.
-    if (tierIndex(t) >= numTiers())
-        return false;
-    if (!tier(t).tryReserve(kPageSize))
-        return false;
-    table_.map(page, t);
-    return true;
-}
-
-Tier
-HeterogeneousMemory::mapPage(PageId page, Tier preferred)
-{
-    // A preference beyond the chain's end clamps to the slowest tier.
-    const unsigned pref = std::min(tierIndex(preferred), numTiers() - 1);
-    preferred = makeTier(pref);
-    if (tryMapPage(page, preferred))
-        return preferred;
-    // Spill order: slower tiers first (nearest-slower outward), then
-    // back toward the faster tiers — the two-tier behavior ("the other
-    // tier") is the n = 2 case of this walk.
-    for (unsigned t = pref + 1; t < numTiers(); ++t)
-        if (tryMapPage(page, makeTier(t)))
-            return makeTier(t);
-    for (unsigned t = pref; t-- > 0;)
-        if (tryMapPage(page, makeTier(t)))
-            return makeTier(t);
-    SENTINEL_FATAL("out of memory: all %u tiers full mapping page %llu "
-                   "(fast %llu/%llu, slowest %llu/%llu)",
-                   numTiers(), static_cast<unsigned long long>(page),
-                   static_cast<unsigned long long>(tiers_.front().used()),
-                   static_cast<unsigned long long>(
-                       tiers_.front().capacity()),
-                   static_cast<unsigned long long>(tiers_.back().used()),
-                   static_cast<unsigned long long>(
-                       tiers_.back().capacity()));
-}
-
 void
 HeterogeneousMemory::mapRange(PageId first, std::uint64_t count,
                               Tier preferred)
 {
     if (count == 0)
         return;
-    // Fill the preferred tier, then spill the suffix tier-by-tier in
-    // mapPage() fallback order — page-for-page what a mapPage() loop
-    // would place (preferred fills first, then every later page falls
-    // to the next tier with space).
+    // Fill the preferred tier, then spill the suffix tier-by-tier:
+    // slower tiers first (nearest-slower outward), then back toward the
+    // faster ones — the two-tier behavior ("the other tier") is the
+    // n = 2 case of this walk.  A preference beyond the chain's end
+    // clamps to the slowest tier.
     const unsigned pref = std::min(tierIndex(preferred), numTiers() - 1);
     PageId next = first;
     std::uint64_t left = count;
@@ -139,52 +99,29 @@ HeterogeneousMemory::mapRange(PageId first, std::uint64_t count,
 }
 
 void
-HeterogeneousMemory::unmapPage(PageId page, Tick now)
-{
-    commitUpTo(now);
-    const PageEntry &e = table_.entry(page);
-    if (e.in_flight) {
-        // Freed before the transfer landed: drop the destination
-        // reservation and leave the page at its source for release.
-        tier(e.dest).release(kPageSize);
-        table_.cancelMigration(page);
-    }
-    tier(table_.entry(page).tier).release(kPageSize);
-    table_.unmap(page);
-}
-
-void
 HeterogeneousMemory::unmapRange(PageId first, std::uint64_t count, Tick now)
 {
     commitUpTo(now);
-    std::uint64_t per_tier[kMaxTiers] = {};
-    for (std::uint64_t i = 0; i < count; ++i) {
-        PageId p = first + i;
-        const PageEntry &e = table_.entry(p);
-        if (e.in_flight) {
-            tier(e.dest).release(kPageSize);
-            table_.cancelMigration(p);
-        }
-        ++per_tier[tierIndex(e.tier)];
-    }
+    if (table_.anyInFlight(first, count))
+        cutPending(first, first + count);
+    const TierPages freed = table_.unmapRange(first, count);
     for (unsigned t = 0; t < numTiers(); ++t)
-        if (per_tier[t] > 0)
-            tiers_[t].release(per_tier[t] * kPageSize);
-    table_.unmapRange(first, count);
+        if (freed[t] > 0)
+            tiers_[t].release(freed[t] * kPageSize);
 }
 
 Tier
 HeterogeneousMemory::residentTier(PageId page, Tick now)
 {
     commitUpTo(now);
-    return table_.entry(page).tier;
+    return table_.runState(page, 1).tier;
 }
 
 bool
 HeterogeneousMemory::inFlight(PageId page, Tick now)
 {
     commitUpTo(now);
-    return table_.entry(page).in_flight;
+    return table_.runState(page, 1).in_flight;
 }
 
 PageRunState
@@ -202,26 +139,60 @@ HeterogeneousMemory::inFlightAny(PageId first, std::uint64_t count, Tick now)
     return table_.anyInFlight(first, count);
 }
 
+std::size_t
+HeterogeneousMemory::firstLiveAfter(PageId page) const
+{
+    return static_cast<std::size_t>(
+        std::partition_point(live_.begin(), live_.end(),
+                             [&](std::uint32_t slot) {
+                                 return runs_[slot].liveEnd() <= page;
+                             }) -
+        live_.begin());
+}
+
+const HeterogeneousMemory::PendingRun &
+HeterogeneousMemory::owningRun(PageId page) const
+{
+    const std::size_t i = firstLiveAfter(page);
+    SENTINEL_ASSERT(i < live_.size() && runs_[live_[i]].liveStart() <= page,
+                    "page %llu is not in flight",
+                    static_cast<unsigned long long>(page));
+    return runs_[live_[i]];
+}
+
+Tick
+HeterogeneousMemory::arrivalTime(PageId first, std::uint64_t count) const
+{
+    // Arrivals never decrease along a run, so each overlapping run's
+    // latest is at its last page inside the range.
+    const PageId end = first + count;
+    Tick latest = -1;
+    for (std::size_t i = firstLiveAfter(first); i < live_.size(); ++i) {
+        const PendingRun &r = runs_[live_[i]];
+        if (r.liveStart() >= end)
+            break;
+        latest = std::max(
+            latest, r.curve.at(std::min(r.liveEnd(), end) - 1 - r.first));
+    }
+    return latest;
+}
+
 Tick
 HeterogeneousMemory::arrivalTime(PageId page) const
 {
-    const PageEntry &e = table_.entry(page);
-    SENTINEL_ASSERT(e.in_flight, "arrivalTime() of non-migrating page");
-    return e.arrival;
+    const PendingRun &r = owningRun(page);
+    return r.curve.at(page - r.first);
 }
 
 HeterogeneousMemory::FlightInfo
 HeterogeneousMemory::flightInfo(PageId page) const
 {
-    const PageEntry &e = table_.entry(page);
-    SENTINEL_ASSERT(e.in_flight, "flightInfo() of non-migrating page");
+    const PendingRun &r = owningRun(page);
     FlightInfo fi;
-    const unsigned src = tierIndex(e.tier);
-    const unsigned dst = tierIndex(e.dest);
-    fi.toward_fast = dst < src;
+    fi.toward_fast = r.dst < r.src;
     // The arrival the caller waits on is the FINAL leg's completion:
     // the link adjacent to the destination tier.
-    fi.link = fi.toward_fast ? dst : dst - 1;
+    fi.link = fi.toward_fast ? r.dst : r.dst - 1;
     return fi;
 }
 
@@ -251,7 +222,7 @@ HeterogeneousMemory::migratePage(PageId page, Tier dst, Tick ready)
     const PageRun one{ page, 1 };
     if (migratePages(std::span(&one, 1), dst, ready) == 0)
         return -1;
-    return table_.entry(page).arrival;
+    return arrivalTime(page);
 }
 
 std::size_t
@@ -298,20 +269,8 @@ HeterogeneousMemory::migratePages(std::span<const PageRun> runs, Tier dst,
             const unsigned dir = d < src ? 0 : 1;
             sim::ArrivalCurve arrivals =
                 submitLegs(src, d, ready, take, startup_paid);
-            std::uint32_t slot;
-            if (free_slots_.empty()) {
-                slot = static_cast<std::uint32_t>(runs_.size());
-                runs_.emplace_back();
-            } else {
-                slot = free_slots_.back();
-                free_slots_.pop_back();
-            }
-            runs_[slot] = { run, take, 0,
-                            table_.beginMigrationRun(run, take, dst,
-                                                     arrivals),
-                            src, arrivals };
-            pending_.push_back({ arrivals.at(0), slot });
-            std::push_heap(pending_.begin(), pending_.end(), KeyLater{});
+            table_.beginMigrationRun(run, take, dst);
+            addRun({ run, take, 0, src, d, arrivals });
 
             if (dir_bytes[dir] == 0)
                 dir_first[dir] = static_cast<std::uint32_t>(run);
@@ -426,20 +385,74 @@ bool
 HeterogeneousMemory::teleportPage(PageId page, Tier dst, Tick now)
 {
     commitUpTo(now);
-    const PageEntry &e = table_.entry(page);
-    if (e.in_flight)
+    const PageRunState rs = table_.runState(page, 1);
+    if (rs.in_flight)
         return false; // let the transfer land first
-    if (e.tier == dst)
+    if (rs.tier == dst)
         return true;
     if (!tier(dst).tryReserve(kPageSize))
         return false;
-    Tier src = e.tier;
-    // Instant flip: begin+commit with an immediate arrival.
-    std::uint64_t seq = table_.beginMigration(page, dst, now);
-    bool ok = table_.commitMigration(page, seq);
-    SENTINEL_ASSERT(ok, "teleport commit failed");
-    tier(src).release(kPageSize);
+    // Instant flip: a begin and a commit, with no transfer to wait on.
+    table_.beginMigrationRun(page, 1, dst);
+    table_.commitMigrationRun(page, 1, rs.tier, dst);
+    tier(rs.tier).release(kPageSize);
     return true;
+}
+
+void
+HeterogeneousMemory::addRun(const PendingRun &run)
+{
+    std::uint32_t slot;
+    if (free_slots_.empty()) {
+        slot = static_cast<std::uint32_t>(runs_.size());
+        runs_.emplace_back();
+    } else {
+        slot = free_slots_.back();
+        free_slots_.pop_back();
+    }
+    runs_[slot] = run;
+    pending_.push_back({ run.curve.at(run.cursor), slot });
+    std::push_heap(pending_.begin(), pending_.end(), KeyLater{});
+    live_.insert(live_.begin() + static_cast<std::ptrdiff_t>(
+                                     firstLiveAfter(run.liveStart())),
+                 slot);
+}
+
+void
+HeterogeneousMemory::cutPending(PageId lo, PageId hi)
+{
+    std::size_t i = firstLiveAfter(lo);
+    while (i < live_.size()) {
+        PendingRun &r = runs_[live_[i]];
+        if (r.liveStart() >= hi)
+            break;
+        const PageId cut_lo = std::max(r.liveStart(), lo);
+        const PageId cut_hi = std::min(r.liveEnd(), hi);
+        tiers_[r.dst].release((cut_hi - cut_lo) * kPageSize);
+        if (cut_lo == r.liveStart() && cut_hi == r.liveEnd()) {
+            // The whole live range: the run's heap key frees its slot
+            // when it comes due.
+            r.cursor = r.count;
+            live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(i));
+            continue;
+        }
+        if (cut_lo == r.liveStart()) {
+            r.cursor = cut_hi - r.first; // the head (its key is now early)
+        } else if (cut_hi == r.liveEnd()) {
+            r.count = cut_lo - r.first; // the tail
+        } else {
+            // The middle: the pages past the cut become a second run on
+            // the same curve, and the range ends inside this run.  The
+            // new key is no earlier than this run's, so next_arrival_
+            // still holds.
+            PendingRun tail = r;
+            tail.cursor = cut_hi - r.first;
+            r.count = cut_lo - r.first;
+            addRun(tail);
+            return;
+        }
+        ++i;
+    }
 }
 
 void
@@ -450,17 +463,24 @@ HeterogeneousMemory::drainArrivals(Tick now)
         PendingKey &key = pending_.back();
         PendingRun &r = runs_[key.slot];
         // Arrivals are non-decreasing along a run, so everything due
-        // is one prefix — committed as one page-table run.
-        const std::uint64_t due = r.curve.arrivedBy(now, r.count);
-        std::uint64_t committed = table_.commitMigrationRun(
-            r.first + r.cursor, due - r.cursor, r.seq0 + r.cursor);
-        // Committed pages now live at their destination; free their
-        // old homes.  A failed commit means the page was freed or the
-        // migration was cancelled; unmapPage()/cancel paths already
-        // released the destination reservation in that case.
-        if (committed > 0)
-            tiers_[r.src].release(committed * kPageSize);
-        r.cursor = due;
+        // is one prefix — committed as one page-table run.  A run cut
+        // at its head keeps an early key, so the prefix may end before
+        // the cursor.
+        const std::uint64_t due =
+            std::max(r.cursor, r.curve.arrivedBy(now, r.count));
+        if (due > r.cursor) {
+            if (due == r.count)
+                live_.erase(live_.begin() + static_cast<std::ptrdiff_t>(
+                                                firstLiveAfter(
+                                                    r.liveStart())));
+            const std::uint64_t n = due - r.cursor;
+            table_.commitMigrationRun(r.liveStart(), n, makeTier(r.src),
+                                      makeTier(r.dst));
+            // Committed pages now live at their destination; free
+            // their old homes.
+            tiers_[r.src].release(n * kPageSize);
+            r.cursor = due;
+        }
         if (r.cursor < r.count) {
             key.next_arrival = r.curve.at(r.cursor);
             std::push_heap(pending_.begin(), pending_.end(), KeyLater{});
@@ -492,6 +512,7 @@ HeterogeneousMemory::reset()
     runs_.clear();
     free_slots_.clear();
     pending_.clear();
+    live_.clear();
     next_arrival_ = kNoArrival;
     stats_ = HmStats{};
 }

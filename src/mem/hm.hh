@@ -31,6 +31,13 @@
  * with runs, not pages, while every arrival tick equals what
  * page-at-a-time submission would give (the per-page engine it is
  * diffed against is test-only: tests/support/ref_hm.hh).
+ *
+ * The pending runs are the only record of in-flight state: the page
+ * table keeps just a flight bit per page.  An index of the runs sorted
+ * by live start finds the run that owns an in-flight page by binary
+ * search.  Freeing pages mid-flight cuts them out of their runs (a
+ * head, a tail, a whole run, or a middle that splits one run in two),
+ * so a later commit can never reach a freed page.
  */
 
 #ifndef SENTINEL_MEM_HM_HH
@@ -88,33 +95,19 @@ class HeterogeneousMemory
 
     // --- Mapping -------------------------------------------------------
 
-    /** Map @p page into @p tier; @return false if the tier is full. */
-    bool tryMapPage(PageId page, Tier tier);
-
     /**
-     * Map @p page into @p preferred, falling back to the next slower
-     * tiers in order and finally back toward the faster ones if all
-     * slower tiers are full.  A completely full system is a
-     * configuration error (fatal).
-     *
-     * @return the tier actually used.
-     */
-    Tier mapPage(PageId page, Tier preferred);
-
-    /**
-     * Map [first, first+count) into @p preferred, spilling the suffix
-     * tier-by-tier in the same fallback order as mapPage() — exactly
-     * page-for-page what a mapPage() loop would do, but with one
-     * reservation per tier.  Fatal if the whole chain runs out.
+     * Map [first, first+count) into @p preferred.  When it fills, the
+     * suffix spills to the next slower tiers in order and finally back
+     * toward the faster ones, with one reservation per tier.  A
+     * completely full chain is a configuration error (fatal).
      */
     void mapRange(PageId first, std::uint64_t count, Tier preferred);
 
-    /** Unmap @p page, releasing its space (commits arrivals first). */
-    void unmapPage(PageId page, Tick now);
-
     /**
-     * Unmap [first, first+count), cancelling in-flight migrations and
-     * releasing the whole range's space with one release per tier.
+     * Unmap [first, first+count) (committing arrivals first).  Pages in
+     * flight are cut out of their pending runs, each run releasing its
+     * destination reservation once; the range's own space is released
+     * with one release per tier.
      */
     void unmapRange(PageId first, std::uint64_t count, Tick now);
 
@@ -140,7 +133,14 @@ class HeterogeneousMemory
     /** True if any page of [first, first+count) is migrating at @p now. */
     bool inFlightAny(PageId first, std::uint64_t count, Tick now);
 
-    /** Arrival time of the in-flight migration (page must be in flight). */
+    /**
+     * Latest arrival among the in-flight pages of [first, first+count),
+     * or -1 if none is in flight.  Call commitUpTo() first to ask about
+     * a given time.
+     */
+    Tick arrivalTime(PageId first, std::uint64_t count) const;
+
+    /** Arrival time of @p page's migration (page must be in flight). */
     Tick arrivalTime(PageId page) const;
 
     /** Direction and final-leg link of an in-flight page's migration. */
@@ -316,17 +316,22 @@ class HeterogeneousMemory
     static constexpr Tick kNoArrival = std::numeric_limits<Tick>::max();
 
     /**
-     * One scheduled run: pages [first, first+count) moving out of tier
-     * @c src, page k arriving at curve.at(k) with migration sequence
-     * seq0 + k.  Pages before @c cursor are committed.
+     * One scheduled run: pages [first, first+count) moving from tier
+     * @c src to tier @c dst, page k arriving at curve.at(k).  Pages
+     * before @c cursor are committed or were freed in flight; the live
+     * range [first+cursor, first+count) is exactly the run's pages
+     * still in flight.
      */
     struct PendingRun {
         PageId first = 0;
         std::uint64_t count = 0;
         std::uint64_t cursor = 0;
-        std::uint64_t seq0 = 0;
         unsigned src = 0;
+        unsigned dst = 0;
         sim::ArrivalCurve curve;
+
+        PageId liveStart() const { return first + cursor; }
+        PageId liveEnd() const { return first + count; }
     };
     /**
      * Pending-heap node: a run's next uncommitted arrival and its slot
@@ -347,6 +352,20 @@ class HeterogeneousMemory
     /** Out-of-line slow path of commitUpTo(). */
     void drainArrivals(Tick now);
 
+    /** Store @p run in a free slot and queue its next arrival. */
+    void addRun(const PendingRun &run);
+
+    /** Position in live_ of the first run whose live range ends after
+     *  @p page. */
+    std::size_t firstLiveAfter(PageId page) const;
+
+    /** The pending run that owns in-flight @p page. */
+    const PendingRun &owningRun(PageId page) const;
+
+    /** Cut [lo, hi) out of every pending run, releasing the cut pages'
+     *  destination reservations. */
+    void cutPending(PageId lo, PageId hi);
+
     std::vector<MemoryTier> tiers_; ///< fastest-first chain
     std::vector<Link> links_;       ///< links_[i]: tiers i <-> i+1
     std::vector<std::uint64_t> base_capacity_; ///< per tier
@@ -354,6 +373,10 @@ class HeterogeneousMemory
     std::vector<PendingRun> runs_;           ///< scheduled runs, by slot
     std::vector<std::uint32_t> free_slots_;  ///< reusable runs_ slots
     std::vector<PendingKey> pending_;        ///< min-heap (KeyLater)
+    /** Slots of the runs with a non-empty live range, sorted by live
+     *  start.  Live ranges are disjoint, so committing a prefix (which
+     *  advances a cursor) never reorders them. */
+    std::vector<std::uint32_t> live_;
     Tick next_arrival_ = kNoArrival; ///< pending_ top's key (cached)
     HmStats stats_;
 

@@ -19,8 +19,7 @@ PageTable::chunkFor(PageId page)
     Chunk &ch = chunks_[c];
     if (ch.epoch != epoch_) {
         // Stale (or fresh) chunk: recycle it lazily on first touch of
-        // the new epoch.  Cold arrays may keep stale values — they are
-        // only read under the in-flight bit, which this reset clears.
+        // the new epoch.
         if (!ch.state)
             ch.state = std::make_unique<std::uint8_t[]>(kChunkPages);
         std::memset(ch.state.get(), kStateUnmapped, kChunkPages);
@@ -31,27 +30,24 @@ PageTable::chunkFor(PageId page)
     return ch;
 }
 
+template <typename Fn>
 void
-PageTable::ensureCold(Chunk &ch)
+PageTable::forEachPiece(PageId first, std::uint64_t count, const char *what,
+                        Fn &&fn)
 {
-    if (!ch.arrival) {
-        ch.arrival = std::make_unique<Tick[]>(kChunkPages);
-        ch.seq = std::make_unique<std::uint64_t[]>(kChunkPages);
-        ch.dest = std::make_unique<std::uint8_t[]>(kChunkPages);
+    PageId p = first;
+    std::uint64_t left = count;
+    while (left > 0) {
+        SENTINEL_ASSERT(findChunk(p), "%s of unmapped page %llu", what,
+                        static_cast<unsigned long long>(p));
+        Chunk &ch = chunks_[p >> kChunkBits];
+        const std::uint64_t off = p & kChunkMask;
+        const std::uint64_t n =
+            std::min<std::uint64_t>(left, kChunkPages - off);
+        fn(ch, p, ch.state.get() + off, n);
+        p += n;
+        left -= n;
     }
-}
-
-void
-PageTable::map(PageId page, Tier tier)
-{
-    Chunk &ch = chunkFor(page);
-    std::uint8_t &s = ch.state[page & kChunkMask];
-    SENTINEL_ASSERT(s == kStateUnmapped, "page %llu already mapped",
-                    static_cast<unsigned long long>(page));
-    s = stateByte(tier, false);
-    ++ch.mapped;
-    ++ch.tiers[tierIndex(tier)];
-    ++num_mapped_;
 }
 
 void
@@ -79,58 +75,32 @@ PageTable::mapRange(PageId first, std::uint64_t count, Tier tier)
     }
 }
 
-void
-PageTable::unmap(PageId page)
-{
-    const Chunk *c = findChunk(page);
-    SENTINEL_ASSERT(c && c->state[page & kChunkMask] != kStateUnmapped,
-                    "unmap of unmapped page %llu",
-                    static_cast<unsigned long long>(page));
-    Chunk &ch = const_cast<Chunk &>(*c);
-    std::uint8_t &s = ch.state[page & kChunkMask];
-    --ch.mapped;
-    --ch.tiers[s & kStateTierMask];
-    if (s & kStateFlightBit) {
-        --ch.inflight;
-        --num_inflight_;
-    }
-    s = kStateUnmapped;
-    --num_mapped_;
-}
-
-void
+TierPages
 PageTable::unmapRange(PageId first, std::uint64_t count)
 {
-    PageId p = first;
-    std::uint64_t left = count;
-    while (left > 0) {
-        const Chunk *c = findChunk(p);
-        SENTINEL_ASSERT(c, "unmap of unmapped page %llu",
-                        static_cast<unsigned long long>(p));
-        Chunk &ch = const_cast<Chunk &>(*c);
-        std::uint64_t off = p & kChunkMask;
-        std::uint64_t in_chunk = std::min<std::uint64_t>(left,
-                                                         kChunkPages - off);
-        std::uint8_t *s = ch.state.get() + off;
+    TierPages freed{};
+    forEachPiece(first, count, "unmap",
+                 [&](Chunk &ch, PageId p, std::uint8_t *s, std::uint64_t n) {
         std::uint32_t tiers[kMaxTiers] = {};
         std::uint32_t inflight = 0;
-        for (std::uint64_t i = 0; i < in_chunk; ++i) {
+        for (std::uint64_t i = 0; i < n; ++i) {
             SENTINEL_ASSERT(s[i] != kStateUnmapped,
                             "unmap of unmapped page %llu",
                             static_cast<unsigned long long>(p + i));
             ++tiers[s[i] & kStateTierMask];
             inflight += (s[i] & kStateFlightBit) ? 1 : 0;
         }
-        std::memset(s, kStateUnmapped, in_chunk);
-        ch.mapped -= static_cast<std::uint32_t>(in_chunk);
-        for (unsigned t = 0; t < kMaxTiers; ++t)
+        std::memset(s, kStateUnmapped, n);
+        ch.mapped -= static_cast<std::uint32_t>(n);
+        for (unsigned t = 0; t < kMaxTiers; ++t) {
             ch.tiers[t] -= tiers[t];
+            freed[t] += tiers[t];
+        }
         ch.inflight -= inflight;
         num_inflight_ -= inflight;
-        num_mapped_ -= in_chunk;
-        p += in_chunk;
-        left -= in_chunk;
-    }
+        num_mapped_ -= n;
+    });
+    return freed;
 }
 
 bool
@@ -138,26 +108,6 @@ PageTable::isMapped(PageId page) const
 {
     const Chunk *c = findChunk(page);
     return c && c->state[page & kChunkMask] != kStateUnmapped;
-}
-
-PageEntry
-PageTable::entry(PageId page) const
-{
-    const Chunk *c = findChunk(page);
-    SENTINEL_ASSERT(c && c->state[page & kChunkMask] != kStateUnmapped,
-                    "entry() of unmapped page %llu",
-                    static_cast<unsigned long long>(page));
-    std::uint64_t off = page & kChunkMask;
-    std::uint8_t s = c->state[off];
-    PageEntry e;
-    e.tier = tierOf(s);
-    e.in_flight = flightOf(s);
-    // The cold arrays hold dest/arrival/seq only while the in-flight
-    // bit is set; an idle page's destination is its own tier.
-    e.dest = (e.in_flight && c->dest) ? makeTier(c->dest[off]) : e.tier;
-    e.arrival = (e.in_flight && c->arrival) ? c->arrival[off] : 0;
-    e.seq = c->seq ? c->seq[off] : 0;
-    return e;
 }
 
 PageRunState
@@ -254,118 +204,64 @@ PageTable::anyInFlight(PageId first, std::uint64_t count) const
     return false;
 }
 
-std::uint64_t
-PageTable::beginMigration(PageId page, Tier dest, Tick arrival)
-{
-    return beginMigrationRun(page, 1, dest, sim::ArrivalCurve::flat(arrival));
-}
-
-bool
-PageTable::commitMigration(PageId page, std::uint64_t seq)
-{
-    const Chunk *c = findChunk(page);
-    if (!c)
-        return false; // freed while in flight
-    std::uint64_t off = page & kChunkMask;
-    std::uint8_t s = c->state[off];
-    if (s == kStateUnmapped || !flightOf(s) || c->seq[off] != seq)
-        return false; // freed, cancelled, or superseded
-    Chunk &ch = const_cast<Chunk &>(*c);
-    // Arrive at the recorded destination tier, clear in-flight.
-    std::uint8_t landed = ch.dest[off];
-    ch.state[off] = landed;
-    --ch.tiers[s & kStateTierMask];
-    ++ch.tiers[landed & kStateTierMask];
-    --ch.inflight;
-    --num_inflight_;
-    return true;
-}
-
-std::uint64_t
-PageTable::beginMigrationRun(PageId first, std::uint64_t count, Tier dest,
-                             const sim::ArrivalCurve &arrivals)
+void
+PageTable::beginMigrationRun(PageId first, std::uint64_t count, Tier dest)
 {
     SENTINEL_ASSERT(count > 0, "empty migration run");
-    const std::uint64_t seq0 = next_seq_;
-    std::uint64_t i = 0;
-    while (i < count) {
-        const PageId page = first + i;
-        const Chunk *c = findChunk(page);
-        SENTINEL_ASSERT(c, "access to unmapped page %llu",
-                        static_cast<unsigned long long>(page));
-        Chunk &ch = const_cast<Chunk &>(*c);
-        ensureCold(ch);
-        const std::uint64_t off = page & kChunkMask;
-        const std::uint64_t in_chunk =
-            std::min<std::uint64_t>(count - i, kChunkPages - off);
-        for (std::uint64_t k = 0; k < in_chunk; ++k) {
-            std::uint8_t &s = ch.state[off + k];
-            SENTINEL_ASSERT(s != kStateUnmapped,
-                            "access to unmapped page %llu",
-                            static_cast<unsigned long long>(page + k));
-            SENTINEL_ASSERT(!flightOf(s), "page %llu is already migrating",
-                            static_cast<unsigned long long>(page + k));
-            SENTINEL_ASSERT(tierOf(s) != dest, "migration to the same tier");
-            s |= kStateFlightBit;
-            ch.arrival[off + k] = arrivals.at(i + k);
-            ch.seq[off + k] = next_seq_++;
-            ch.dest[off + k] = static_cast<std::uint8_t>(tierIndex(dest));
+    const unsigned d = tierIndex(dest);
+    forEachPiece(first, count, "migration",
+                 [&](Chunk &ch, PageId p, std::uint8_t *s, std::uint64_t n) {
+        // Check the piece, then flag it: one branch-free pass each.
+        // The unmapped marker carries the flight bit, so it fails too.
+        bool bad = false;
+        for (std::uint64_t i = 0; i < n; ++i)
+            bad |= ((s[i] & kStateFlightBit) != 0) |
+                   ((s[i] & kStateTierMask) == d);
+        if (bad) {
+            for (std::uint64_t i = 0; i < n; ++i) {
+                SENTINEL_ASSERT(s[i] != kStateUnmapped,
+                                "migration of unmapped page %llu",
+                                static_cast<unsigned long long>(p + i));
+                SENTINEL_ASSERT(!flightOf(s[i]),
+                                "page %llu is already migrating",
+                                static_cast<unsigned long long>(p + i));
+                SENTINEL_ASSERT(tierOf(s[i]) != dest,
+                                "migration of page %llu to its own tier",
+                                static_cast<unsigned long long>(p + i));
+            }
         }
-        ch.inflight += static_cast<std::uint32_t>(in_chunk);
-        num_inflight_ += in_chunk;
-        i += in_chunk;
-    }
-    return seq0;
-}
-
-std::uint64_t
-PageTable::commitMigrationRun(PageId first, std::uint64_t count,
-                              std::uint64_t seq0)
-{
-    std::uint64_t done = 0;
-    std::uint64_t k = 0;
-    while (k < count) {
-        const PageId page = first + k;
-        const std::uint64_t off = page & kChunkMask;
-        const std::uint64_t in_chunk =
-            std::min<std::uint64_t>(count - k, kChunkPages - off);
-        const Chunk *c = findChunk(page);
-        if (!c) { // whole chunk freed while in flight
-            k += in_chunk;
-            continue;
-        }
-        Chunk &ch = const_cast<Chunk &>(*c);
-        for (std::uint64_t m = 0; m < in_chunk; ++m) {
-            std::uint8_t s = ch.state[off + m];
-            if (s == kStateUnmapped || !flightOf(s) ||
-                ch.seq[off + m] != seq0 + k + m)
-                continue; // freed, cancelled, or superseded
-            std::uint8_t landed = ch.dest[off + m];
-            ch.state[off + m] = landed;
-            --ch.tiers[s & kStateTierMask];
-            ++ch.tiers[landed & kStateTierMask];
-            --ch.inflight;
-            --num_inflight_;
-            ++done;
-        }
-        k += in_chunk;
-    }
-    return done;
+        for (std::uint64_t i = 0; i < n; ++i)
+            s[i] |= kStateFlightBit;
+        ch.inflight += static_cast<std::uint32_t>(n);
+        num_inflight_ += n;
+    });
 }
 
 void
-PageTable::cancelMigration(PageId page)
+PageTable::commitMigrationRun(PageId first, std::uint64_t count, Tier src,
+                              Tier dest)
 {
-    const Chunk *c = findChunk(page);
-    SENTINEL_ASSERT(c && c->state[page & kChunkMask] != kStateUnmapped,
-                    "access to unmapped page %llu",
-                    static_cast<unsigned long long>(page));
-    Chunk &ch = const_cast<Chunk &>(*c);
-    std::uint8_t &s = ch.state[page & kChunkMask];
-    SENTINEL_ASSERT(flightOf(s), "cancel of non-migrating page");
-    s &= static_cast<std::uint8_t>(~kStateFlightBit);
-    --ch.inflight;
-    --num_inflight_;
+    const std::uint8_t from = stateByte(src, true);
+    const std::uint8_t to = stateByte(dest, false);
+    forEachPiece(first, count, "commit",
+                 [&](Chunk &ch, PageId p, std::uint8_t *s, std::uint64_t n) {
+        bool bad = false;
+        for (std::uint64_t i = 0; i < n; ++i)
+            bad |= s[i] != from;
+        if (bad) {
+            for (std::uint64_t i = 0; i < n; ++i)
+                SENTINEL_ASSERT(s[i] == from,
+                                "commit of page %llu, which is not in "
+                                "flight out of tier %u",
+                                static_cast<unsigned long long>(p + i),
+                                tierIndex(src));
+        }
+        std::memset(s, to, n);
+        ch.tiers[tierIndex(src)] -= static_cast<std::uint32_t>(n);
+        ch.tiers[tierIndex(dest)] += static_cast<std::uint32_t>(n);
+        ch.inflight -= static_cast<std::uint32_t>(n);
+        num_inflight_ -= n;
+    });
 }
 
 void

@@ -1,21 +1,22 @@
 /**
  * @file
- * Virtual page -> tier mapping, including in-flight migration state.
+ * Virtual page -> tier mapping, including the in-flight bit.
  *
  * A page that is migrating remains readable at its source tier until
- * the migration engine's transfer completes (arrival tick); the
- * HeterogeneousMemory facade lazily commits arrivals as simulated time
- * advances.
+ * the migration engine's transfer completes; the HeterogeneousMemory
+ * facade owns every in-flight migration (its pending runs hold the
+ * destination and the closed-form arrival curve) and commits arrivals
+ * as simulated time advances.  The table records only what a residency
+ * query needs: where each page lives and whether it is moving.
  *
- * The table is struct-of-arrays chunks.  The hot state of a page (tier
- * + in-flight bit) is ONE byte in a per-chunk state array, so lookups
- * are two loads and range walks are byte scans.  Cold migration state
- * (arrival tick, commit-guard sequence) lives in separate per-chunk
- * arrays allocated only once a chunk sees its first migration.  Each
- * chunk also carries summary counters (mapped / per-tier / in-flight
- * page counts), which answer the dominant runState() query — "is this
- * whole range uniform?" — in O(chunks) instead of O(pages).
- * Mapped-ness is tracked with a per-chunk epoch so clear() is O(1).
+ * The table is struct-of-arrays chunks.  The state of a page (tier +
+ * in-flight bit) is ONE byte in a per-chunk state array, so lookups
+ * are two loads, range walks are byte scans, and beginning or
+ * committing a migration run is a byte fill.  Each chunk also carries
+ * summary counters (mapped / per-tier / in-flight page counts), which
+ * answer the dominant runState() query — "is this whole range
+ * uniform?" — in O(chunks) instead of O(pages).  Mapped-ness is
+ * tracked with a per-chunk epoch so clear() is O(1).
  *
  * Its reference model is test-only: tests/support/ref_page_table.hh,
  * a std::map per page, is diffed against this table op by op.
@@ -24,24 +25,14 @@
 #ifndef SENTINEL_MEM_PAGE_TABLE_HH
 #define SENTINEL_MEM_PAGE_TABLE_HH
 
+#include <array>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "common/units.hh"
 #include "mem/page.hh"
-#include "sim/bandwidth_channel.hh"
 
 namespace sentinel::mem {
-
-/** Per-page state (a composed view; the table stores SoA). */
-struct PageEntry {
-    Tier tier = Tier::Slow;     ///< current (source) tier
-    bool in_flight = false;     ///< migration scheduled, not yet arrived
-    Tier dest = Tier::Slow;     ///< destination while in flight
-    Tick arrival = 0;           ///< completion time while in flight
-    std::uint64_t seq = 0;      ///< migration epoch, guards stale commits
-};
 
 static_assert(kMaxTiers <= 8, "tier index must fit the 3 state bits");
 
@@ -55,27 +46,25 @@ struct PageRunState {
     std::uint64_t count = 0;
 };
 
+/** Page counts per tier, indexed by chain position. */
+using TierPages = std::array<std::uint64_t, kMaxTiers>;
+
 /** A flat map of mapped pages. */
 class PageTable
 {
   public:
-    /** Map @p page into @p tier.  The page must not be mapped. */
-    void map(PageId page, Tier tier);
-
     /** Map [first, first+count) into @p tier; none may be mapped. */
     void mapRange(PageId first, std::uint64_t count, Tier tier);
 
-    /** Remove @p page.  The page must be mapped. */
-    void unmap(PageId page);
-
-    /** Remove [first, first+count); all must be mapped, none in flight. */
-    void unmapRange(PageId first, std::uint64_t count);
+    /**
+     * Remove [first, first+count); all must be mapped.  Pages in
+     * flight are removed too (the caller has already dropped their
+     * pending migrations).
+     * @return the removed pages per (source) tier.
+     */
+    TierPages unmapRange(PageId first, std::uint64_t count);
 
     bool isMapped(PageId page) const;
-
-    /** Entry for @p page (must be mapped), composed from the SoA
-     *  arrays: dest/arrival/seq are meaningful only while in_flight. */
-    PageEntry entry(PageId page) const;
 
     /**
      * Longest prefix of [first, first+count) whose pages share one
@@ -87,40 +76,17 @@ class PageTable
     bool anyInFlight(PageId first, std::uint64_t count) const;
 
     /**
-     * Mark @p page as migrating to @p dest, arriving at @p arrival (a
-     * run of one).
-     * @return the migration sequence number for this migration.
+     * Mark [first, first+count) as migrating to @p dest.  Every page
+     * must be mapped, idle, and resident away from @p dest.
      */
-    std::uint64_t beginMigration(PageId page, Tier dest, Tick arrival);
+    void beginMigrationRun(PageId first, std::uint64_t count, Tier dest);
 
     /**
-     * Complete the migration with sequence @p seq, if still pending.
-     * @return true if the commit took effect (page flipped tiers).
+     * Land [first, first+count) in @p dest.  Every page must be mapped
+     * and in flight out of @p src.
      */
-    bool commitMigration(PageId page, std::uint64_t seq);
-
-    /**
-     * Begin migrating the consecutive run [first, first+count) to
-     * @p dest; page first+k arrives at @p arrivals.at(k).  Every page
-     * must be mapped, idle, and resident away from @p dest — i.e. a
-     * uniform eligible runState() prefix.  Sequence numbers are
-     * contiguous: page first+k gets @return + k.
-     */
-    std::uint64_t beginMigrationRun(PageId first, std::uint64_t count,
-                                    Tier dest,
-                                    const sim::ArrivalCurve &arrivals);
-
-    /**
-     * Commit the consecutive run [first, first+count), where page
-     * first+i carries sequence @p seq0 + i.  Pages freed or cancelled
-     * while in flight are skipped, exactly as commitMigration().
-     * @return the number of pages that actually flipped tiers.
-     */
-    std::uint64_t commitMigrationRun(PageId first, std::uint64_t count,
-                                     std::uint64_t seq0);
-
-    /** Abort an in-flight migration, leaving the page at its source. */
-    void cancelMigration(PageId page);
+    void commitMigrationRun(PageId first, std::uint64_t count, Tier src,
+                            Tier dest);
 
     std::size_t numMapped() const { return num_mapped_; }
 
@@ -175,12 +141,6 @@ class PageTable
         /** Mapped pages resident in each tier (by current tier bits). */
         std::uint32_t tiers[kMaxTiers] = {};
         std::unique_ptr<std::uint8_t[]> state;
-        // Cold migration SoA, allocated on the chunk's first migration.
-        // `dest` holds the destination tier index while in flight (an
-        // N-tier chain has more than one "other" tier to arrive at).
-        std::unique_ptr<Tick[]> arrival;
-        std::unique_ptr<std::uint64_t[]> seq;
-        std::unique_ptr<std::uint8_t[]> dest;
     };
 
     /** Chunk holding @p page, or nullptr if absent/stale this epoch. */
@@ -196,15 +156,21 @@ class PageTable
 
     /** Chunk for @p page, allocated/recycled to the current epoch. */
     Chunk &chunkFor(PageId page);
-    /** Ensure the chunk's cold migration arrays exist. */
-    void ensureCold(Chunk &ch);
+
+    /**
+     * Call @p fn(chunk, state, n) for each chunk-sized piece of
+     * [first, first+count), every piece inside a live chunk; @p what
+     * names the operation in the unmapped-page assert.
+     */
+    template <typename Fn>
+    void forEachPiece(PageId first, std::uint64_t count, const char *what,
+                      Fn &&fn);
 
     std::vector<Chunk> chunks_;
     std::uint32_t epoch_ = 1;
 
     std::size_t num_mapped_ = 0;
     std::size_t num_inflight_ = 0;
-    std::uint64_t next_seq_ = 1;
 };
 
 } // namespace sentinel::mem

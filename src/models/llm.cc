@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <stdexcept>
 
 #include "common/logging.hh"
 #include "models/common.hh"
@@ -173,11 +174,12 @@ parseLlmName(const std::string &name)
 {
     std::optional<LlmParams> p = tryParseLlmName(name);
     if (!p) {
-        SENTINEL_FATAL("malformed llm model name '%s' (expected "
-                       "llm:<preset>[:k=v,...] with preset "
-                       "tiny|small|medium|large and keys "
-                       "l,hd,heads,seq,vocab; heads must divide hd)",
-                       name.c_str());
+        throw std::invalid_argument(
+            strprintf("malformed llm model name '%s' (expected "
+                      "llm:<preset>[:k=v,...] with preset "
+                      "tiny|small|medium|large and keys "
+                      "l,hd,heads,seq,vocab; heads must divide hd)",
+                      name.c_str()));
     }
     return *p;
 }

@@ -67,7 +67,8 @@ bool isLlmName(const std::string &name);
  */
 std::optional<LlmParams> tryParseLlmName(const std::string &name);
 
-/** Parse @p name; fatal with a precise message when malformed. */
+/** Parse @p name; throws std::invalid_argument with a precise message
+ *  when malformed. */
 LlmParams parseLlmName(const std::string &name);
 
 /** Build one training step from @p p at @p batch. */

@@ -2,6 +2,7 @@
 
 #include <map>
 #include <mutex>
+#include <stdexcept>
 
 #include "common/logging.hh"
 #include "models/bert.hh"
@@ -33,7 +34,8 @@ modelSpec(const std::string &name)
 {
     const ModelSpec *spec = findModelSpec(name);
     if (!spec)
-        SENTINEL_FATAL("unknown model '%s'", name.c_str());
+        throw std::invalid_argument(
+            strprintf("unknown model '%s'", name.c_str()));
     return *spec;
 }
 
@@ -75,7 +77,7 @@ df::Graph
 makeModel(const std::string &name, int batch)
 {
     SENTINEL_ASSERT(batch > 0, "batch must be positive");
-    // Seeded fuzz models (parseSyntheticName is fatal on a malformed
+    // Seeded fuzz models (parseSyntheticName throws on a malformed
     // name, matching the unknown-model behaviour below).
     if (isSyntheticName(name))
         return buildSynthetic(parseSyntheticName(name), batch);
@@ -108,7 +110,7 @@ makeModel(const std::string &name, int batch)
         return buildCifarResNet(110, batch);
     if (name == "resnet152")
         return buildBottleneckResNet(152, batch);
-    SENTINEL_FATAL("unknown model '%s'", name.c_str());
+    throw std::invalid_argument(strprintf("unknown model '%s'", name.c_str()));
 }
 
 } // namespace sentinel::models

@@ -28,10 +28,11 @@ struct ModelSpec {
 /** The five evaluation models of Table III. */
 const std::vector<ModelSpec> &modelZoo();
 
-/** Build @p name at @p batch; fatal on unknown name. */
+/** Build @p name at @p batch; throws std::invalid_argument on an
+ *  unknown or malformed name. */
 df::Graph makeModel(const std::string &name, int batch);
 
-/** Spec lookup; fatal on unknown name. */
+/** Spec lookup; throws std::invalid_argument on an unknown name. */
 const ModelSpec &modelSpec(const std::string &name);
 
 /**

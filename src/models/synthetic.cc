@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <stdexcept>
 #include <map>
 #include <mutex>
 #include <vector>
@@ -283,10 +284,11 @@ parseSyntheticName(const std::string &name)
 {
     std::optional<SyntheticParams> p = tryParseSyntheticName(name);
     if (!p) {
-        SENTINEL_FATAL("malformed synthetic model name '%s' (expected "
-                       "synthetic:<seed>[:k=v,...] with keys "
-                       "cu,mu,img,ch,feat,bp,rd,tmp)",
-                       name.c_str());
+        throw std::invalid_argument(
+            strprintf("malformed synthetic model name '%s' (expected "
+                      "synthetic:<seed>[:k=v,...] with keys "
+                      "cu,mu,img,ch,feat,bp,rd,tmp)",
+                      name.c_str()));
     }
     return *p;
 }

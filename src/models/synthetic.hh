@@ -81,7 +81,8 @@ bool isSyntheticName(const std::string &name);
 std::optional<SyntheticParams>
 tryParseSyntheticName(const std::string &name);
 
-/** Parse @p name; fatal with a precise message when malformed. */
+/** Parse @p name; throws std::invalid_argument with a precise message
+ *  when malformed. */
 SyntheticParams parseSyntheticName(const std::string &name);
 
 /** Build one training step from @p p at @p batch. */

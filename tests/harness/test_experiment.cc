@@ -202,6 +202,28 @@ TEST(Harness, RejectsMalformedChaosSpecAsConfigError)
     EXPECT_NO_THROW(validate(cfg, "numa"));
 }
 
+TEST(Harness, UnknownModelNameIsOneConfigErrorAndNoFatalLine)
+{
+    // A bad model name is rejected input: one ConfigError, and nothing
+    // logged on the way (no "fatal:" line ahead of the error).
+    for (const char *name : { "no-such-model", "llm:bogus", "synthetic:zz" }) {
+        ExperimentConfig cfg = smallConfig();
+        cfg.model = name;
+        ::testing::internal::CaptureStderr();
+        std::string what;
+        try {
+            runExperiment(cfg, "numa");
+        } catch (const ConfigError &e) {
+            what = e.what();
+        }
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_NE(what.find("cannot build model"), std::string::npos)
+            << name << ": " << what;
+        EXPECT_EQ(what.find("fatal:"), std::string::npos) << what;
+        EXPECT_EQ(err.find("fatal:"), std::string::npos) << name << ": " << err;
+    }
+}
+
 TEST(Harness, RejectsWarmupOutsideSteps)
 {
     ExperimentConfig cfg = smallConfig();

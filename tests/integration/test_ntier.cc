@@ -149,8 +149,8 @@ TEST(NtierDegradation, ZeroCapacityMidTierPlacesLikeTwoTier)
     const mem::PageRun pages[] = { { 6, 2 } };
     EXPECT_EQ(three.migratePages(pages, mem::makeTier(1), 0), 0u);
     // ...while promotion straight to fast still works on both systems.
-    three.unmapPage(0, 0);
-    two.unmapPage(0, 0);
+    three.unmapRange(0, 1, 0);
+    two.unmapRange(0, 1, 0);
     EXPECT_GT(three.migratePage(6, mem::Tier::Fast, 0), 0);
     EXPECT_GT(two.migratePage(6, mem::Tier::Fast, 0), 0);
 }

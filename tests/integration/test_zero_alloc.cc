@@ -5,8 +5,8 @@
  *
  * The hot loop's scratch buffers (the policy's migration batch and
  * prefetch ring, the executor's segment lists, the migration engine's
- * pending-run heap, the SoA page-table chunks) are all grown during
- * warmup and reused afterwards; this test pins that property
+ * pending-run heap and index, the SoA page-table chunks) are all grown
+ * during warmup and reused afterwards; this test pins that property
  * with the counting operator new from sentinel_alloc_hook.  Linked
  * only into this binary — see common/alloc_hook.hh for the contract.
  * Under sanitizers the hook compiles away and the test skips.
@@ -144,6 +144,37 @@ TEST(ZeroAlloc, IntervalPlannerSentinelSteadyStateDoesNotAllocate)
     cfg.model = "resnet32";
     cfg.planner = "interval";
     EXPECT_EQ(warmStepAllocs(cfg, 20), 0u);
+}
+
+TEST(ZeroAlloc, InFlightRunTrimDoesNotAllocate)
+{
+    if (!common::allocHookActive())
+        GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
+    // Map, migrate one run, free its middle while it is in flight (a
+    // split: a second pending slot, an index insert, a heap push), then
+    // let everything land.
+    auto hm = makeHm(64 * mem::kPageSize);
+    const mem::PageRun run[] = { { 0, 32 } };
+    Tick now = 0;
+    auto cycle = [&] {
+        hm.mapRange(0, 32, mem::Tier::Slow);
+        hm.migratePages(run, mem::Tier::Fast, now);
+        hm.unmapRange(10, 8, now);
+        now += kSec;
+        hm.commitUpTo(now);
+        hm.unmapRange(0, 10, now);
+        hm.unmapRange(18, 14, now);
+    };
+    cycle();
+    cycle();
+    std::uint64_t before = common::allocCount();
+    for (int i = 0; i < 20; ++i)
+        cycle();
+    std::uint64_t after = common::allocCount();
+    EXPECT_EQ(after - before, 0u)
+        << (after - before) << " heap allocations across 20 warm cycles";
+    EXPECT_EQ(hm.tier(mem::Tier::Fast).used(), 0u);
+    EXPECT_EQ(hm.tier(mem::Tier::Slow).used(), 0u);
 }
 
 } // namespace

@@ -19,7 +19,7 @@ makeHm(std::uint64_t fast_pages = 4, std::uint64_t slow_pages = 1024)
 TEST(Hm, MapPreferredTier)
 {
     auto hm = makeHm();
-    EXPECT_TRUE(hm.tryMapPage(1, Tier::Fast));
+    hm.mapRange(1, 1, Tier::Fast);
     EXPECT_EQ(hm.residentTier(1, 0), Tier::Fast);
     EXPECT_EQ(hm.tier(Tier::Fast).used(), kPageSize);
 }
@@ -27,22 +27,16 @@ TEST(Hm, MapPreferredTier)
 TEST(Hm, MapFallsBackWhenFull)
 {
     auto hm = makeHm(1);
-    EXPECT_EQ(hm.mapPage(0, Tier::Fast), Tier::Fast);
-    EXPECT_EQ(hm.mapPage(1, Tier::Fast), Tier::Slow);
-}
-
-TEST(Hm, BothTiersFullIsFatal)
-{
-    auto hm = makeHm(1, 1);
-    hm.mapPage(0, Tier::Fast);
-    hm.mapPage(1, Tier::Fast);
-    EXPECT_THROW(hm.mapPage(2, Tier::Fast), std::runtime_error);
+    hm.mapRange(0, 1, Tier::Fast);
+    hm.mapRange(1, 1, Tier::Fast);
+    EXPECT_EQ(hm.residentTier(0, 0), Tier::Fast);
+    EXPECT_EQ(hm.residentTier(1, 0), Tier::Slow);
 }
 
 TEST(Hm, MigrationTimingAndResidency)
 {
     auto hm = makeHm();
-    hm.tryMapPage(5, Tier::Slow);
+    hm.mapRange(5, 1, Tier::Slow);
 
     Tick arrival = hm.migratePage(5, Tier::Fast, 0);
     EXPECT_EQ(arrival, 4096); // 4 KiB at 1 GB/s
@@ -60,8 +54,8 @@ TEST(Hm, MigrationTimingAndResidency)
 TEST(Hm, MigrationReservesDestinationUpFront)
 {
     auto hm = makeHm(1);
-    hm.tryMapPage(0, Tier::Slow);
-    hm.tryMapPage(1, Tier::Slow);
+    hm.mapRange(0, 1, Tier::Slow);
+    hm.mapRange(1, 1, Tier::Slow);
 
     EXPECT_GE(hm.migratePage(0, Tier::Fast, 0), 0);
     // Fast tier is fully reserved by the in-flight page.
@@ -71,7 +65,7 @@ TEST(Hm, MigrationReservesDestinationUpFront)
 TEST(Hm, SourceReleasedOnlyAtCompletion)
 {
     auto hm = makeHm();
-    hm.tryMapPage(9, Tier::Slow);
+    hm.mapRange(9, 1, Tier::Slow);
     std::uint64_t slow_before = hm.tier(Tier::Slow).used();
 
     Tick arrival = hm.migratePage(9, Tier::Fast, 0);
@@ -83,10 +77,10 @@ TEST(Hm, SourceReleasedOnlyAtCompletion)
 TEST(Hm, RedundantMigrationRejected)
 {
     auto hm = makeHm();
-    hm.tryMapPage(2, Tier::Fast);
+    hm.mapRange(2, 1, Tier::Fast);
     EXPECT_EQ(hm.migratePage(2, Tier::Fast, 0), -1);
 
-    hm.tryMapPage(3, Tier::Slow);
+    hm.mapRange(3, 1, Tier::Slow);
     EXPECT_GE(hm.migratePage(3, Tier::Fast, 0), 0);
     // Already in flight.
     EXPECT_EQ(hm.migratePage(3, Tier::Fast, 0), -1);
@@ -95,12 +89,12 @@ TEST(Hm, RedundantMigrationRejected)
 TEST(Hm, UnmapInFlightReleasesBothReservations)
 {
     auto hm = makeHm(2);
-    hm.tryMapPage(1, Tier::Slow);
+    hm.mapRange(1, 1, Tier::Slow);
     hm.migratePage(1, Tier::Fast, 0);
     std::uint64_t fast_used = hm.tier(Tier::Fast).used();
     EXPECT_EQ(fast_used, kPageSize);
 
-    hm.unmapPage(1, 0); // freed before arrival
+    hm.unmapRange(1, 1, 0); // freed before arrival
     EXPECT_EQ(hm.tier(Tier::Fast).used(), 0u);
     EXPECT_EQ(hm.tier(Tier::Slow).used(), 0u);
     // The late commit must not corrupt capacity accounting.
@@ -150,9 +144,9 @@ TEST(Hm, BatchMigrationStopsWhenDestinationFull)
 TEST(Hm, BatchMigrationSkipsIneligiblePages)
 {
     auto hm = makeHm(8);
-    hm.tryMapPage(1, Tier::Fast); // already there
-    hm.tryMapPage(2, Tier::Slow);
-    hm.tryMapPage(3, Tier::Slow);
+    hm.mapRange(1, 1, Tier::Fast); // already there
+    hm.mapRange(2, 1, Tier::Slow);
+    hm.mapRange(3, 1, Tier::Slow);
     hm.migratePage(3, Tier::Fast, 0); // already in flight
     const PageRun pages[] = { { 1, 3 } };
     EXPECT_EQ(hm.migratePages(pages, Tier::Fast, 0), 1u);
@@ -161,8 +155,8 @@ TEST(Hm, BatchMigrationSkipsIneligiblePages)
 TEST(Hm, PromoteAndDemoteUseSeparateChannels)
 {
     auto hm = makeHm(8);
-    hm.tryMapPage(1, Tier::Slow);
-    hm.tryMapPage(2, Tier::Fast);
+    hm.mapRange(1, 1, Tier::Slow);
+    hm.mapRange(2, 1, Tier::Fast);
 
     Tick up = hm.migratePage(1, Tier::Fast, 0);
     Tick down = hm.migratePage(2, Tier::Slow, 0);
@@ -175,21 +169,21 @@ TEST(Hm, PromoteAndDemoteUseSeparateChannels)
 TEST(Hm, PeakUsageTracked)
 {
     auto hm = makeHm(4);
-    hm.tryMapPage(1, Tier::Fast);
-    hm.tryMapPage(2, Tier::Fast);
-    hm.unmapPage(1, 0);
+    hm.mapRange(1, 1, Tier::Fast);
+    hm.mapRange(2, 1, Tier::Fast);
+    hm.unmapRange(1, 1, 0);
     EXPECT_EQ(hm.tier(Tier::Fast).peakUsed(), 2 * kPageSize);
 }
 
 TEST(Hm, MapRangeMatchesPerPagePlacement)
 {
-    // Bulk mapping must place pages exactly like the per-page loop:
+    // Bulk mapping must place pages exactly like a page-at-a-time loop:
     // a preferred-tier prefix while capacity lasts, then fallback.
     auto hm = makeHm(3);
     auto ref = makeHm(3);
     hm.mapRange(10, 5, Tier::Fast);
     for (PageId p = 10; p < 15; ++p)
-        ref.mapPage(p, Tier::Fast);
+        ref.mapRange(p, 1, Tier::Fast);
     for (PageId p = 10; p < 15; ++p)
         EXPECT_EQ(hm.residentTier(p, 0), ref.residentTier(p, 0));
     EXPECT_EQ(hm.tier(Tier::Fast).used(), ref.tier(Tier::Fast).used());
@@ -227,6 +221,114 @@ TEST(Hm, UnmapRangeCancelsInFlight)
     EXPECT_EQ(hm.tier(Tier::Fast).used(), 0u);
 }
 
+TEST(Hm, FreeingMiddleOfInFlightRunKeepsHeadAndTailArrivals)
+{
+    auto hm = makeHm(8);
+    hm.mapRange(0, 8, Tier::Slow);
+    const PageRun pages[] = { { 0, 8 } };
+    ASSERT_EQ(hm.migratePages(pages, Tier::Fast, 0), 8u);
+    // Page k lands at (k + 1) * 4096.  Free pages 3 and 4 mid-flight.
+    hm.unmapRange(3, 2, 0);
+    EXPECT_EQ(hm.tier(Tier::Fast).used(), 6 * kPageSize);
+    EXPECT_EQ(hm.tier(Tier::Slow).used(), 6 * kPageSize);
+    EXPECT_EQ(hm.arrivalTime(2), 3 * 4096);
+    EXPECT_EQ(hm.arrivalTime(5), 6 * 4096);
+    EXPECT_EQ(hm.arrivalTime(0, 8), 8 * 4096);
+    EXPECT_EQ(hm.arrivalTime(0, 5), 3 * 4096);
+
+    // The head lands on time.
+    EXPECT_TRUE(hm.inFlight(2, 3 * 4096 - 1));
+    EXPECT_EQ(hm.residentTier(2, 3 * 4096), Tier::Fast);
+    EXPECT_EQ(hm.tier(Tier::Slow).used(), 3 * kPageSize);
+    // The freed pages' ticks pass without effect; the tail keeps its
+    // own arrivals.
+    EXPECT_TRUE(hm.inFlight(5, 6 * 4096 - 1));
+    EXPECT_EQ(hm.tier(Tier::Slow).used(), 3 * kPageSize);
+    EXPECT_EQ(hm.residentTier(5, 6 * 4096), Tier::Fast);
+    EXPECT_TRUE(hm.inFlight(7, 8 * 4096 - 1));
+    EXPECT_FALSE(hm.inFlight(7, 8 * 4096));
+    EXPECT_EQ(hm.tier(Tier::Fast).used(), 6 * kPageSize);
+    EXPECT_EQ(hm.tier(Tier::Slow).used(), 0u);
+    EXPECT_EQ(hm.arrivalTime(0, 8), -1);
+}
+
+TEST(Hm, PageFreedInFlightAndMigratedAgainLandsAtItsNewArrival)
+{
+    // The old transfer's arrival must not land the new migration of
+    // the same page early.
+    auto hm = makeHm(8);
+    hm.mapRange(0, 4, Tier::Slow);
+    const PageRun pages[] = { { 0, 4 } };
+    ASSERT_EQ(hm.migratePages(pages, Tier::Fast, 0), 4u);
+    hm.unmapRange(1, 1, 0); // page 1 would have landed at 8192
+    hm.mapRange(1, 1, Tier::Slow);
+    // Queued behind the four-page batch on the same channel.
+    Tick again = hm.migratePage(1, Tier::Fast, 0);
+    EXPECT_EQ(again, 5 * 4096);
+
+    EXPECT_TRUE(hm.inFlight(1, 2 * 4096));
+    EXPECT_EQ(hm.residentTier(1, 2 * 4096), Tier::Slow);
+    EXPECT_EQ(hm.arrivalTime(1), again);
+    EXPECT_EQ(hm.tier(Tier::Fast).used(), 4 * kPageSize);
+    EXPECT_EQ(hm.tier(Tier::Slow).used(), 3 * kPageSize);
+    EXPECT_EQ(hm.residentTier(1, again), Tier::Fast);
+    EXPECT_EQ(hm.tier(Tier::Fast).used(), 4 * kPageSize);
+    EXPECT_EQ(hm.tier(Tier::Slow).used(), 0u);
+}
+
+TEST(Hm, PageFreedInFlightAndRemappedStaysPut)
+{
+    // A demotion freed mid-flight must never land on the page's next
+    // mapping.
+    auto hm = makeHm(4);
+    hm.mapRange(5, 1, Tier::Fast);
+    Tick arrival = hm.migratePage(5, Tier::Slow, 0);
+    hm.unmapRange(5, 1, 0);
+    hm.mapRange(5, 1, Tier::Fast);
+    hm.commitUpTo(arrival + 1'000'000);
+    EXPECT_EQ(hm.residentTier(5, arrival), Tier::Fast);
+    EXPECT_FALSE(hm.inFlight(5, arrival));
+    EXPECT_EQ(hm.tier(Tier::Fast).used(), kPageSize);
+    EXPECT_EQ(hm.tier(Tier::Slow).used(), 0u);
+}
+
+TEST(Hm, UnmapCutsHeadsTailsAndWholeRuns)
+{
+    auto hm = makeHm(16);
+    hm.mapRange(0, 12, Tier::Slow);
+    const PageRun pages[] = { { 0, 4 }, { 5, 3 }, { 9, 3 } };
+    ASSERT_EQ(hm.migratePages(pages, Tier::Fast, 0), 10u);
+    // One range takes run 0's tail, all of run 1 and run 2's head.
+    hm.unmapRange(2, 8, 0);
+    EXPECT_EQ(hm.tier(Tier::Fast).used(), 4 * kPageSize);
+    EXPECT_EQ(hm.tier(Tier::Slow).used(), 4 * kPageSize);
+    EXPECT_EQ(hm.arrivalTime(1), 2 * 4096);
+    EXPECT_EQ(hm.arrivalTime(10), 9 * 4096);
+    EXPECT_EQ(hm.arrivalTime(0, 12), 10 * 4096);
+    hm.commitUpTo(10 * 4096);
+    for (PageId p : { 0, 1, 10, 11 })
+        EXPECT_EQ(hm.residentTier(p, 10 * 4096), Tier::Fast) << p;
+    EXPECT_EQ(hm.tier(Tier::Fast).used(), 4 * kPageSize);
+    EXPECT_EQ(hm.tier(Tier::Slow).used(), 0u);
+}
+
+TEST(Hm, ArrivalTimeOfRangeIsLatestInFlightArrival)
+{
+    auto hm = makeHm(8);
+    hm.mapRange(10, 3, Tier::Slow);
+    const PageRun pages[] = { { 10, 3 } };
+    hm.migratePages(pages, Tier::Fast, 0);
+    EXPECT_EQ(hm.arrivalTime(10, 3), 3 * 4096);
+    EXPECT_EQ(hm.arrivalTime(10, 2), 2 * 4096);
+    EXPECT_EQ(hm.arrivalTime(0, 10), -1);
+    EXPECT_EQ(hm.arrivalTime(0, 100), 3 * 4096);
+    hm.commitUpTo(4096);
+    EXPECT_EQ(hm.arrivalTime(10, 1), -1);
+    EXPECT_EQ(hm.arrivalTime(10, 3), 3 * 4096);
+    EXPECT_THROW(hm.arrivalTime(10), std::logic_error);
+    EXPECT_THROW(hm.flightInfo(10), std::logic_error);
+}
+
 TEST(Hm, ResidentRangeSplitsOnTierAndFlight)
 {
     auto hm = makeHm(8);
@@ -259,8 +361,8 @@ TEST(Hm, ResidentRangeSplitsOnTierAndFlight)
 TEST(Hm, ResetRestoresPristineState)
 {
     auto hm = makeHm();
-    hm.tryMapPage(1, Tier::Fast);
-    hm.tryMapPage(2, Tier::Slow);
+    hm.mapRange(1, 1, Tier::Fast);
+    hm.mapRange(2, 1, Tier::Slow);
     hm.migratePage(2, Tier::Fast, 0);
     hm.reset();
     EXPECT_EQ(hm.tier(Tier::Fast).used(), 0u);
@@ -278,7 +380,7 @@ namespace {
 TEST(Hm, TeleportFlipsTierInstantlyWithoutTraffic)
 {
     auto hm = makeHm(4);
-    hm.tryMapPage(1, Tier::Fast);
+    hm.mapRange(1, 1, Tier::Fast);
     EXPECT_TRUE(hm.teleportPage(1, Tier::Slow, 0));
     EXPECT_EQ(hm.residentTier(1, 0), Tier::Slow);
     // No channel traffic, no migration stats: a discard, not a copy.
@@ -292,7 +394,7 @@ TEST(Hm, TeleportFlipsTierInstantlyWithoutTraffic)
 TEST(Hm, TeleportToSameTierIsNoop)
 {
     auto hm = makeHm(4);
-    hm.tryMapPage(1, Tier::Fast);
+    hm.mapRange(1, 1, Tier::Fast);
     EXPECT_TRUE(hm.teleportPage(1, Tier::Fast, 0));
     EXPECT_EQ(hm.tier(Tier::Fast).used(), kPageSize);
 }
@@ -300,8 +402,8 @@ TEST(Hm, TeleportToSameTierIsNoop)
 TEST(Hm, TeleportFailsWhenDestinationFull)
 {
     auto hm = makeHm(1);
-    hm.tryMapPage(1, Tier::Fast);
-    hm.tryMapPage(2, Tier::Slow);
+    hm.mapRange(1, 1, Tier::Fast);
+    hm.mapRange(2, 1, Tier::Slow);
     EXPECT_FALSE(hm.teleportPage(2, Tier::Fast, 0));
     EXPECT_EQ(hm.residentTier(2, 0), Tier::Slow);
 }
@@ -309,7 +411,7 @@ TEST(Hm, TeleportFailsWhenDestinationFull)
 TEST(Hm, TeleportWaitsOutInFlightMigrations)
 {
     auto hm = makeHm(4);
-    hm.tryMapPage(1, Tier::Slow);
+    hm.mapRange(1, 1, Tier::Slow);
     Tick arrival = hm.migratePage(1, Tier::Fast, 0);
     // Mid-flight: refuse (the transfer owns the page).
     EXPECT_FALSE(hm.teleportPage(1, Tier::Slow, arrival - 1));

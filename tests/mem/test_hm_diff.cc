@@ -8,15 +8,18 @@
  * and 4-tier chains with small tiers: range maps, batches of
  * mixed-source runs toward any tier (the middle ones included), single
  * page migrations, partial fills of a nearly full destination,
- * unmapRange/unmapPage while transfers are in flight, teleports,
- * commitUpTo exactly at (and one tick before) an arrival, and
- * bandwidth rescales and channel stalls between batches.  After every
- * op the tier occupancy, HmStats and every channel's counters must
- * agree, and so must residentRange / inFlight / arrivalTime /
- * flightInfo over the whole page window.
+ * unmapRange while transfers are in flight (including cuts strictly
+ * inside one pending run, which split it), pages freed in flight and
+ * migrated again before their old arrival tick, teleports, commitUpTo
+ * exactly at (and one tick before) an arrival, and bandwidth rescales
+ * and channel stalls between batches.  After every op the tier
+ * occupancy, HmStats and every channel's counters must agree, and so
+ * must residentRange / inFlight / arrivalTime (per page and per range)
+ * / flightInfo over the whole page window.
  */
 
 #include <cstdint>
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -39,6 +42,9 @@ struct Coverage {
     std::uint64_t mixed_batches = 0;   ///< promote + demote in one batch
     std::uint64_t partial_fills = 0;   ///< batch stopped by a full tier
     std::uint64_t inflight_unmaps = 0; ///< unmap of a migrating page
+    std::uint64_t split_unmaps = 0;    ///< unmap strictly inside a run
+    std::uint64_t early_remigrations = 0; ///< freed in flight, migrated
+                                          ///< again before old arrival
     std::uint64_t exact_commits = 0;   ///< commitUpTo(arrival) landed it
     std::uint64_t teleports = 0;
 };
@@ -132,13 +138,24 @@ class HmCampaign
             noteInflightUnmap(r, cov);
             hm_.unmapRange(r.first, r.count, now_);
             ref_.unmapRange(r.first, r.count, now_);
-        } else if (op < 24) { // unmapPage
-            PageRun r = mappedRun();
+        } else if (op < 24) { // unmapRange inside one pending run
+            PageRun r = insidePendingRun();
             if (r.empty())
                 return;
-            noteInflightUnmap({ r.first, 1 }, cov);
-            hm_.unmapPage(r.first, now_);
-            ref_.unmapRange(r.first, 1, now_);
+            noteInflightUnmap(r, cov);
+            hm_.unmapRange(r.first, r.count, now_);
+            ref_.unmapRange(r.first, r.count, now_);
+            if (uniform(2) == 0)
+                return;
+            // Reuse the freed pages at once: map them again and move
+            // them while the cut transfer would still be in flight.
+            Tier pref = randomTier();
+            hm_.mapRange(r.first, r.count, pref);
+            ref_.mapRange(r.first, r.count, pref);
+            Tier dst = randomTier();
+            ASSERT_EQ(hm_.migratePages({ &r, 1 }, dst, now_),
+                      ref_.migratePages({ &r, 1 }, dst, now_));
+            noteRemigrations(cov);
         } else if (op < 58) { // migratePages: a batch of runs
             std::vector<PageRun> runs;
             const std::uint64_t k = 1 + uniform(4);
@@ -154,6 +171,7 @@ class HmCampaign
                 ++cov.mixed_batches;
             if (got > 0 && ref_.tier(dst).free() < kPageSize)
                 ++cov.partial_fills;
+            noteRemigrations(cov);
         } else if (op < 66) { // migratePage
             PageRun r = mappedRun();
             if (r.empty())
@@ -161,6 +179,7 @@ class HmCampaign
             Tier dst = randomTier();
             ASSERT_EQ(hm_.migratePage(r.first, dst, now_),
                       ref_.migratePage(r.first, dst, now_));
+            noteRemigrations(cov);
         } else if (op < 71) { // teleportPage
             PageRun r = mappedRun();
             if (r.empty())
@@ -200,6 +219,31 @@ class HmCampaign
         }
     }
 
+    /**
+     * A random sub-range of one in-flight run, strictly inside it when
+     * the run is long enough (so the unmap splits it), or an empty run.
+     */
+    PageRun
+    insidePendingRun()
+    {
+        PageId p = uniform(kWindow);
+        if (!ref_.isMapped(p) || !ref_.inFlight(p, now_))
+            return {};
+        hm_.commitUpTo(now_); // the reference just committed to now_
+        PageId lo = p;
+        PageId hi = p + 1;
+        while (lo > 0 && ref_.sameRun(lo - 1, p))
+            --lo;
+        while (hi < kWindow && ref_.sameRun(hi, p))
+            ++hi;
+        if (hi - lo < 3)
+            return { p, 1 };
+        const PageId first = lo + 1 + uniform(hi - lo - 2);
+        return { first, 1 + uniform(hi - 1 - first) };
+    }
+
+    /** Count the unmap's in-flight pages and whether it splits a run;
+     *  remember the freed pages' old arrival ticks. */
     void
     noteInflightUnmap(PageRun r, Coverage &cov)
     {
@@ -207,6 +251,31 @@ class HmCampaign
             bool flying = hm_.inFlight(p, now_);
             ASSERT_EQ(flying, ref_.inFlight(p, now_));
             cov.inflight_unmaps += flying;
+            if (flying)
+                freed_arrival_[p] = ref_.arrivalTime(p);
+        }
+        // A split: the run's pages flank the cut and fill it.
+        bool split = r.first > 0;
+        for (PageId q = r.first; split && q <= r.endPage(); ++q)
+            split = ref_.sameRun(r.first - 1, q);
+        cov.split_unmaps += split;
+    }
+
+    /** After a migration op: pages freed in flight that are moving
+     *  again before their old transfer would have landed. */
+    void
+    noteRemigrations(Coverage &cov)
+    {
+        for (auto it = freed_arrival_.begin(); it != freed_arrival_.end();) {
+            if (it->second <= now_) {
+                it = freed_arrival_.erase(it);
+            } else if (ref_.isMapped(it->first) &&
+                       ref_.arrivalTime(it->first, 1) >= 0) {
+                ++cov.early_remigrations;
+                it = freed_arrival_.erase(it);
+            } else {
+                ++it;
+            }
         }
     }
 
@@ -247,6 +316,8 @@ class HmCampaign
             }
             PageRunState x = hm_.residentRange(p, n, now_);
             PageRunState y = ref_.residentRange(p, n, now_);
+            ASSERT_EQ(hm_.arrivalTime(p, n), ref_.arrivalTime(p, n))
+                << "op " << op << " range " << p << "+" << n;
             ASSERT_EQ(x.tier, y.tier) << "op " << op << " page " << p;
             ASSERT_EQ(x.in_flight, y.in_flight) << "op " << op << " page " << p;
             ASSERT_EQ(x.count, y.count) << "op " << op << " page " << p;
@@ -270,6 +341,9 @@ class HmCampaign
     RefHm ref_;
     unsigned tiers_;
     Tick now_ = 0;
+    /** Pages freed in flight, by the tick their transfer would have
+     *  landed. */
+    std::map<PageId, Tick> freed_arrival_;
 };
 
 TEST(HmDiff, MatchesPerPageReferenceOverSeededOps)
@@ -288,6 +362,8 @@ TEST(HmDiff, MatchesPerPageReferenceOverSeededOps)
         }
         EXPECT_GT(cov.partial_fills, 0u) << tiers << " tiers";
         EXPECT_GT(cov.inflight_unmaps, 0u) << tiers << " tiers";
+        EXPECT_GT(cov.split_unmaps, 0u) << tiers << " tiers";
+        EXPECT_GT(cov.early_remigrations, 0u) << tiers << " tiers";
         EXPECT_GT(cov.exact_commits, 0u) << tiers << " tiers";
         EXPECT_GT(cov.teleports, 0u) << tiers << " tiers";
     }

@@ -9,81 +9,99 @@ TEST(PageTable, MapUnmap)
 {
     PageTable pt;
     EXPECT_FALSE(pt.isMapped(7));
-    pt.map(7, Tier::Slow);
+    pt.mapRange(7, 1, Tier::Slow);
     EXPECT_TRUE(pt.isMapped(7));
-    EXPECT_EQ(pt.entry(7).tier, Tier::Slow);
+    EXPECT_EQ(pt.runState(7, 1).tier, Tier::Slow);
     EXPECT_EQ(pt.numMapped(), 1u);
-    pt.unmap(7);
+    pt.unmapRange(7, 1);
     EXPECT_FALSE(pt.isMapped(7));
 }
 
 TEST(PageTable, DoubleMapPanics)
 {
     PageTable pt;
-    pt.map(1, Tier::Fast);
-    EXPECT_THROW(pt.map(1, Tier::Fast), std::logic_error);
+    pt.mapRange(1, 1, Tier::Fast);
+    EXPECT_THROW(pt.mapRange(1, 1, Tier::Fast), std::logic_error);
+    EXPECT_THROW(pt.mapRange(0, 3, Tier::Fast), std::logic_error);
 }
 
 TEST(PageTable, UnmapUnknownPanics)
 {
     PageTable pt;
-    EXPECT_THROW(pt.unmap(9), std::logic_error);
-    EXPECT_THROW(pt.entry(9), std::logic_error);
+    EXPECT_THROW(pt.unmapRange(9, 1), std::logic_error);
+    EXPECT_THROW(pt.runState(9, 1), std::logic_error);
 }
 
 TEST(PageTable, MigrationLifecycle)
 {
     PageTable pt;
-    pt.map(3, Tier::Slow);
-    std::uint64_t seq = pt.beginMigration(3, Tier::Fast, 1000);
-    EXPECT_TRUE(pt.entry(3).in_flight);
-    EXPECT_EQ(pt.entry(3).tier, Tier::Slow);
-    EXPECT_EQ(pt.entry(3).arrival, 1000);
+    pt.mapRange(3, 1, Tier::Slow);
+    pt.beginMigrationRun(3, 1, Tier::Fast);
+    EXPECT_TRUE(pt.runState(3, 1).in_flight);
+    EXPECT_EQ(pt.runState(3, 1).tier, Tier::Slow);
+    EXPECT_EQ(pt.numInFlight(), 1u);
 
-    EXPECT_TRUE(pt.commitMigration(3, seq));
-    EXPECT_FALSE(pt.entry(3).in_flight);
-    EXPECT_EQ(pt.entry(3).tier, Tier::Fast);
+    pt.commitMigrationRun(3, 1, Tier::Slow, Tier::Fast);
+    EXPECT_FALSE(pt.runState(3, 1).in_flight);
+    EXPECT_EQ(pt.runState(3, 1).tier, Tier::Fast);
+    EXPECT_EQ(pt.numInFlight(), 0u);
 }
 
-TEST(PageTable, StaleCommitIsIgnored)
+TEST(PageTable, CommitRequiresPagesInFlightOutOfSource)
 {
     PageTable pt;
-    pt.map(3, Tier::Slow);
-    std::uint64_t seq1 = pt.beginMigration(3, Tier::Fast, 10);
-    pt.cancelMigration(3);
-    // The cancelled migration's commit must not flip the tier.
-    EXPECT_FALSE(pt.commitMigration(3, seq1));
-    EXPECT_EQ(pt.entry(3).tier, Tier::Slow);
-
-    // A new migration gets a new seq; old seq still rejected.
-    std::uint64_t seq2 = pt.beginMigration(3, Tier::Fast, 20);
-    EXPECT_NE(seq1, seq2);
-    EXPECT_FALSE(pt.commitMigration(3, seq1));
-    EXPECT_TRUE(pt.commitMigration(3, seq2));
-}
-
-TEST(PageTable, CommitAfterUnmapIsIgnored)
-{
-    PageTable pt;
-    pt.map(5, Tier::Fast);
-    std::uint64_t seq = pt.beginMigration(5, Tier::Slow, 10);
-    pt.unmap(5);
-    EXPECT_FALSE(pt.commitMigration(5, seq));
+    pt.mapRange(0, 4, Tier::Slow);
+    // Not migrating at all.
+    EXPECT_THROW(pt.commitMigrationRun(0, 1, Tier::Slow, Tier::Fast),
+                 std::logic_error);
+    pt.beginMigrationRun(0, 3, Tier::Fast);
+    // Wrong source tier.
+    EXPECT_THROW(pt.commitMigrationRun(0, 3, Tier::Fast, Tier::Slow),
+                 std::logic_error);
+    // A run that reaches past the migrating pages.
+    EXPECT_THROW(pt.commitMigrationRun(1, 3, Tier::Slow, Tier::Fast),
+                 std::logic_error);
+    // Freed pages cannot be committed.
+    pt.unmapRange(2, 2);
+    EXPECT_THROW(pt.commitMigrationRun(2, 1, Tier::Slow, Tier::Fast),
+                 std::logic_error);
+    // The failed commits changed nothing.
+    EXPECT_EQ(pt.numInFlight(), 2u);
+    PageRunState rs = pt.runState(0, 2);
+    EXPECT_TRUE(rs.in_flight);
+    EXPECT_EQ(rs.tier, Tier::Slow);
+    EXPECT_EQ(rs.count, 2u);
+    pt.commitMigrationRun(0, 2, Tier::Slow, Tier::Fast);
+    EXPECT_EQ(pt.runState(0, 2).tier, Tier::Fast);
+    EXPECT_EQ(pt.numInFlight(), 0u);
 }
 
 TEST(PageTable, DoubleMigrationPanics)
 {
     PageTable pt;
-    pt.map(1, Tier::Slow);
-    pt.beginMigration(1, Tier::Fast, 5);
-    EXPECT_THROW(pt.beginMigration(1, Tier::Fast, 6), std::logic_error);
+    pt.mapRange(1, 1, Tier::Slow);
+    pt.beginMigrationRun(1, 1, Tier::Fast);
+    EXPECT_THROW(pt.beginMigrationRun(1, 1, Tier::Fast), std::logic_error);
 }
 
 TEST(PageTable, SameTierMigrationPanics)
 {
     PageTable pt;
-    pt.map(1, Tier::Slow);
-    EXPECT_THROW(pt.beginMigration(1, Tier::Slow, 5), std::logic_error);
+    pt.mapRange(1, 1, Tier::Slow);
+    EXPECT_THROW(pt.beginMigrationRun(1, 1, Tier::Slow), std::logic_error);
+}
+
+TEST(PageTable, FailedBeginLeavesThePieceIdle)
+{
+    // The last page is already moving: the run is refused before any
+    // page of it is flagged.
+    PageTable pt;
+    pt.mapRange(0, 8, Tier::Slow);
+    pt.beginMigrationRun(7, 1, Tier::Fast);
+    EXPECT_THROW(pt.beginMigrationRun(0, 8, Tier::Fast), std::logic_error);
+    EXPECT_THROW(pt.beginMigrationRun(5, 4, Tier::Fast), std::logic_error);
+    EXPECT_EQ(pt.numInFlight(), 1u);
+    EXPECT_FALSE(pt.anyInFlight(0, 7));
 }
 
 TEST(PageTable, RangeMapUnmap)
@@ -93,13 +111,31 @@ TEST(PageTable, RangeMapUnmap)
     EXPECT_EQ(pt.numMapped(), 50u);
     for (PageId p = 100; p < 150; ++p) {
         ASSERT_TRUE(pt.isMapped(p));
-        EXPECT_EQ(pt.entry(p).tier, Tier::Fast);
+        EXPECT_EQ(pt.runState(p, 1).tier, Tier::Fast);
     }
     EXPECT_FALSE(pt.isMapped(99));
     EXPECT_FALSE(pt.isMapped(150));
     pt.unmapRange(100, 50);
     EXPECT_EQ(pt.numMapped(), 0u);
     EXPECT_FALSE(pt.isMapped(125));
+}
+
+TEST(PageTable, UnmapRangeReportsPagesPerSourceTier)
+{
+    PageTable pt;
+    pt.mapRange(0, 5, Tier::Fast);
+    pt.mapRange(5, 3, makeTier(2));
+    pt.mapRange(8, 4, Tier::Slow);
+    // In-flight pages count at the tier they are leaving.
+    pt.beginMigrationRun(9, 2, Tier::Fast);
+    TierPages freed = pt.unmapRange(2, 9);
+    EXPECT_EQ(freed[0], 3u);
+    EXPECT_EQ(freed[1], 3u);
+    EXPECT_EQ(freed[2], 3u);
+    for (unsigned t = 3; t < kMaxTiers; ++t)
+        EXPECT_EQ(freed[t], 0u);
+    EXPECT_EQ(pt.numMapped(), 3u);
+    EXPECT_EQ(pt.numInFlight(), 0u);
 }
 
 TEST(PageTable, RunStateFindsUniformPrefix)
@@ -119,7 +155,7 @@ TEST(PageTable, RunStateFindsUniformPrefix)
     EXPECT_EQ(rs.count, 5u);
 
     // An in-flight page splits the run even within one tier.
-    pt.beginMigration(17, Tier::Fast, 99);
+    pt.beginMigrationRun(17, 1, Tier::Fast);
     rs = pt.runState(15, 5);
     EXPECT_EQ(rs.tier, Tier::Slow);
     EXPECT_FALSE(rs.in_flight);
@@ -134,7 +170,7 @@ TEST(PageTable, AnyInFlight)
     PageTable pt;
     pt.mapRange(0, 8, Tier::Slow);
     EXPECT_FALSE(pt.anyInFlight(0, 8));
-    pt.beginMigration(6, Tier::Fast, 10);
+    pt.beginMigrationRun(6, 1, Tier::Fast);
     EXPECT_TRUE(pt.anyInFlight(0, 8));
     EXPECT_FALSE(pt.anyInFlight(0, 6));
     EXPECT_TRUE(pt.anyInFlight(6, 1));
@@ -172,11 +208,19 @@ TEST(PageTable, RangeAcrossChunkBoundary)
     PageRunState rs = pt.runState(seam - 8, 16);
     EXPECT_EQ(rs.count, 16u);
     EXPECT_EQ(rs.tier, Tier::Fast);
-    pt.beginMigration(seam, Tier::Slow, 5);
+    pt.beginMigrationRun(seam, 1, Tier::Slow);
     EXPECT_TRUE(pt.anyInFlight(seam - 8, 16));
     rs = pt.runState(seam - 8, 16);
     EXPECT_EQ(rs.count, 8u);
-    pt.cancelMigration(seam);
+    // Runs that straddle the seam begin and land as one.
+    pt.beginMigrationRun(seam - 4, 4, Tier::Slow);
+    pt.commitMigrationRun(seam - 4, 5, Tier::Fast, Tier::Slow);
+    rs = pt.runState(seam - 8, 16);
+    EXPECT_EQ(rs.count, 4u);
+    rs = pt.runState(seam - 4, 12);
+    EXPECT_EQ(rs.tier, Tier::Slow);
+    EXPECT_EQ(rs.count, 5u);
+    EXPECT_EQ(pt.numInFlight(), 0u);
     pt.unmapRange(seam - 8, 16);
     EXPECT_EQ(pt.numMapped(), 0u);
 }
@@ -185,16 +229,17 @@ TEST(PageTable, ClearForgetsEverything)
 {
     PageTable pt;
     pt.mapRange(40, 10, Tier::Fast);
-    pt.beginMigration(44, Tier::Slow, 7);
+    pt.beginMigrationRun(44, 1, Tier::Slow);
     pt.clear();
     EXPECT_EQ(pt.numMapped(), 0u);
+    EXPECT_EQ(pt.numInFlight(), 0u);
     for (PageId p = 40; p < 50; ++p)
         EXPECT_FALSE(pt.isMapped(p));
     // The table is fully reusable after clear (epoch bump must not
     // leave stale entries visible).
-    pt.map(44, Tier::Slow);
-    EXPECT_EQ(pt.entry(44).tier, Tier::Slow);
-    EXPECT_FALSE(pt.entry(44).in_flight);
+    pt.mapRange(44, 1, Tier::Slow);
+    EXPECT_EQ(pt.runState(44, 1).tier, Tier::Slow);
+    EXPECT_FALSE(pt.runState(44, 1).in_flight);
     EXPECT_EQ(pt.numMapped(), 1u);
 }
 
@@ -205,7 +250,7 @@ TEST(PageTable, RepeatedClearCycles)
     PageTable pt;
     for (int cycle = 0; cycle < 100; ++cycle) {
         pt.mapRange(0, 4, Tier::Fast);
-        pt.map(1ull << 20, Tier::Slow);
+        pt.mapRange(1ull << 20, 1, Tier::Slow);
         EXPECT_EQ(pt.numMapped(), 5u);
         pt.clear();
         EXPECT_EQ(pt.numMapped(), 0u);

@@ -98,10 +98,10 @@ INSTANTIATE_TEST_SUITE_P(
         return info.param.name;
     });
 
-TEST(ModelRegistry, UnknownModelIsFatal)
+TEST(ModelRegistry, UnknownModelIsInvalidArgument)
 {
-    EXPECT_THROW(makeModel("alexnet", 32), std::runtime_error);
-    EXPECT_THROW(modelSpec("alexnet"), std::runtime_error);
+    EXPECT_THROW(makeModel("alexnet", 32), std::invalid_argument);
+    EXPECT_THROW(modelSpec("alexnet"), std::invalid_argument);
 }
 
 TEST(ModelRegistry, ResNetVariantsForScalingStudy)
@@ -239,8 +239,8 @@ TEST(SyntheticRegistry, MalformedNamesAreRejected)
     for (const char *name : bad) {
         EXPECT_FALSE(tryParseSyntheticName(name).has_value()) << name;
         EXPECT_EQ(findModelSpec(name), nullptr) << name;
-        EXPECT_THROW(makeModel(name, 4), std::runtime_error) << name;
-        EXPECT_THROW(modelSpec(name), std::runtime_error) << name;
+        EXPECT_THROW(makeModel(name, 4), std::invalid_argument) << name;
+        EXPECT_THROW(modelSpec(name), std::invalid_argument) << name;
     }
     // Non-synthetic names never reach the synthetic parser.
     EXPECT_FALSE(tryParseSyntheticName("resnet20").has_value());

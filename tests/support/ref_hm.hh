@@ -5,11 +5,12 @@
  *
  * Everything page at a time: each page of a batch walks its legs with
  * one BandwidthChannel::submitWithStartup() per leg, and the pending
- * set is a flat list of (page, arrival) entries, each committed once
- * its own arrival has passed.  The page table is the map-backed
- * RefPageTable.  Slow, but simple enough to be right by inspection;
- * tests/mem/test_hm_diff.cc diffs the extent engine against it op by
- * op.  Telemetry and attribution are not modelled.
+ * set is one entry per in-flight page (arrival, source, destination),
+ * each committed once its own arrival has passed; freeing a page drops
+ * its entry.  The page table is the map-backed RefPageTable.  Slow,
+ * but simple enough to be right by inspection; tests/mem/test_hm_diff.cc
+ * diffs the extent engine against it op by op.  Telemetry and
+ * attribution are not modelled.
  */
 
 #ifndef SENTINEL_TESTS_SUPPORT_REF_HM_HH
@@ -17,6 +18,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <map>
 #include <span>
 #include <vector>
 
@@ -60,7 +62,8 @@ class RefHm
         return toward_fast ? links_[link].up : links_[link].down;
     }
 
-    /** mapPage() fallback order: preferred, slower tiers, faster ones. */
+    /** HeterogeneousMemory::mapRange() fallback order: preferred,
+     *  slower tiers, faster ones. */
     void
     mapRange(PageId first, std::uint64_t count, Tier preferred)
     {
@@ -81,14 +84,15 @@ class RefHm
     {
         commitUpTo(now);
         for (std::uint64_t i = 0; i < count; ++i) {
-            const mem::PageEntry e = table_.entry(first + i);
-            if (e.in_flight) {
-                release(e.dest);
-                table_.cancelMigration(first + i);
+            auto it = pending_.find(first + i);
+            if (it != pending_.end()) {
+                release(it->second.dst);
+                pending_.erase(it);
             }
-            release(e.tier);
-            table_.unmap(first + i);
         }
+        const mem::TierPages freed = table_.unmapRange(first, count);
+        for (unsigned t = 0; t < numTiers(); ++t)
+            tiers_[t].release(freed[t] * mem::kPageSize);
     }
 
     mem::PageRunState
@@ -102,20 +106,45 @@ class RefHm
     inFlight(PageId page, Tick now)
     {
         commitUpTo(now);
-        return table_.entry(page).in_flight;
+        return table_.runState(page, 1).in_flight;
     }
 
-    Tick arrivalTime(PageId page) const { return table_.entry(page).arrival; }
+    /** Latest arrival among the range's in-flight pages, or -1. */
+    Tick
+    arrivalTime(PageId first, std::uint64_t count) const
+    {
+        Tick latest = -1;
+        for (auto it = pending_.lower_bound(first);
+             it != pending_.end() && it->first < first + count; ++it)
+            latest = std::max(latest, it->second.arrival);
+        return latest;
+    }
+
+    Tick arrivalTime(PageId page) const { return pending(page).arrival; }
 
     mem::HeterogeneousMemory::FlightInfo
     flightInfo(PageId page) const
     {
-        const mem::PageEntry e = table_.entry(page);
+        const Pending &p = pending(page);
         mem::HeterogeneousMemory::FlightInfo fi;
-        fi.toward_fast = e.dest < e.tier;
-        fi.link = fi.toward_fast ? mem::tierIndex(e.dest)
-                                 : mem::tierIndex(e.dest) - 1;
+        fi.toward_fast = p.dst < p.src;
+        fi.link = fi.toward_fast ? mem::tierIndex(p.dst)
+                                 : mem::tierIndex(p.dst) - 1;
         return fi;
+    }
+
+    /**
+     * True if @p a and @p b are both in flight in one extent-engine
+     * run: scheduled by one batch from one requested run, out of one
+     * tier, with no page skipped between them.
+     */
+    bool
+    sameRun(PageId a, PageId b) const
+    {
+        auto x = pending_.find(a);
+        auto y = pending_.find(b);
+        return x != pending_.end() && y != pending_.end() &&
+               x->second.run == y->second.run;
     }
 
     Tick
@@ -124,7 +153,7 @@ class RefHm
         const PageRun one{ page, 1 };
         if (migratePages({ &one, 1 }, dst, ready) == 0)
             return -1;
-        return table_.entry(page).arrival;
+        return arrivalTime(page);
     }
 
     /** One page at a time: skip ineligible pages, stop at the first
@@ -138,13 +167,21 @@ class RefHm
         std::uint32_t startup_paid = 0;
         std::size_t scheduled = 0;
         for (const PageRun &r : runs) {
+            // A new extent-engine run starts at every requested run, at
+            // every skipped page, and at every change of source tier.
+            bool extends = false;
             for (PageId p = r.first; p < r.endPage(); ++p) {
-                const mem::PageEntry e = table_.entry(p);
-                if (e.in_flight || e.tier == dst)
+                const mem::PageRunState e = table_.runState(p, 1);
+                if (e.in_flight || e.tier == dst) {
+                    extends = false;
                     continue;
+                }
                 if (!tiers_[d].tryReserve(mem::kPageSize))
                     return scheduled;
                 const unsigned src = mem::tierIndex(e.tier);
+                if (!extends || pending_.at(p - 1).src != e.tier)
+                    ++next_run_;
+                extends = true;
                 Tick t = ready;
                 auto leg = [&](sim::BandwidthChannel &ch, std::uint32_t bit) {
                     t = ch.submitWithStartup(
@@ -158,8 +195,8 @@ class RefHm
                 else
                     for (unsigned l = src; l < d; ++l)
                         leg(links_[l].down, 1u << (2 * l + 1));
-                pending_.push_back({ p, t, table_.beginMigration(p, dst, t),
-                                     e.tier });
+                table_.beginMigrationRun(p, 1, dst);
+                pending_[p] = { t, e.tier, dst, next_run_ };
                 if (d < src) {
                     stats_.promoted_bytes += mem::kPageSize;
                     ++stats_.promoted_pages;
@@ -177,14 +214,15 @@ class RefHm
     teleportPage(PageId page, Tier dst, Tick now)
     {
         commitUpTo(now);
-        const mem::PageEntry e = table_.entry(page);
+        const mem::PageRunState e = table_.runState(page, 1);
         if (e.in_flight)
             return false;
         if (e.tier == dst)
             return true;
         if (!tiers_[mem::tierIndex(dst)].tryReserve(mem::kPageSize))
             return false;
-        table_.commitMigration(page, table_.beginMigration(page, dst, now));
+        table_.beginMigrationRun(page, 1, dst);
+        table_.commitMigrationRun(page, 1, e.tier, dst);
         release(e.tier);
         return true;
     }
@@ -193,14 +231,16 @@ class RefHm
     void
     commitUpTo(Tick now)
     {
-        std::size_t kept = 0;
-        for (const Pending &p : pending_) {
-            if (p.arrival > now)
-                pending_[kept++] = p;
-            else if (table_.commitMigration(p.page, p.seq))
-                release(p.src);
+        for (auto it = pending_.begin(); it != pending_.end();) {
+            if (it->second.arrival > now) {
+                ++it;
+                continue;
+            }
+            table_.commitMigrationRun(it->first, 1, it->second.src,
+                                      it->second.dst);
+            release(it->second.src);
+            it = pending_.erase(it);
         }
-        pending_.resize(kept);
     }
 
     void
@@ -230,19 +270,29 @@ class RefHm
         double base_up_bw;
         double base_down_bw;
     };
+    /** One in-flight page's migration. */
     struct Pending {
-        PageId page;
         Tick arrival;
-        std::uint64_t seq;
         Tier src;
+        Tier dst;
+        std::uint64_t run; ///< extent-engine run it belongs to
     };
+
+    const Pending &
+    pending(PageId page) const
+    {
+        auto it = pending_.find(page);
+        SENTINEL_ASSERT(it != pending_.end(), "page %llu is not in flight",
+                        static_cast<unsigned long long>(page));
+        return it->second;
+    }
 
     bool
     tryMap(PageId page, unsigned t)
     {
         if (!tiers_[t].tryReserve(mem::kPageSize))
             return false;
-        table_.map(page, mem::makeTier(t));
+        table_.mapRange(page, 1, mem::makeTier(t));
         return true;
     }
 
@@ -251,7 +301,8 @@ class RefHm
     std::vector<mem::MemoryTier> tiers_;
     std::vector<Link> links_;
     RefPageTable table_;
-    std::vector<Pending> pending_;
+    std::map<PageId, Pending> pending_; ///< by page
+    std::uint64_t next_run_ = 0;
     mem::HmStats stats_;
 };
 
