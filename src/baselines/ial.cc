@@ -41,11 +41,13 @@ IalPolicy::onTensorFreed(df::Executor &, df::TensorId,
 }
 
 void
-IalPolicy::onPageUnmapped(df::Executor &, mem::PageId page)
+IalPolicy::onRangeUnmapped(df::Executor &, mem::PageRun run)
 {
     // Lazy removal: dead pages are skipped when popped.
-    in_fifo_.erase(page);
-    slow_touches_.erase(page);
+    for (mem::PageId page = run.first; page < run.endPage(); ++page) {
+        in_fifo_.erase(page);
+        slow_touches_.erase(page);
+    }
 }
 
 void

@@ -46,12 +46,14 @@ UnifiedMemoryPolicy::onTensorFreed(df::Executor &, df::TensorId,
 }
 
 void
-UnifiedMemoryPolicy::onPageUnmapped(df::Executor &, mem::PageId page)
+UnifiedMemoryPolicy::onRangeUnmapped(df::Executor &, mem::PageRun run)
 {
-    auto it = lru_pos_.find(page);
-    if (it != lru_pos_.end()) {
-        lru_.erase(it->second);
-        lru_pos_.erase(it);
+    for (mem::PageId page = run.first; page < run.endPage(); ++page) {
+        auto it = lru_pos_.find(page);
+        if (it != lru_pos_.end()) {
+            lru_.erase(it->second);
+            lru_pos_.erase(it);
+        }
     }
 }
 

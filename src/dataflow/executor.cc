@@ -33,7 +33,30 @@ Executor::placementOf(TensorId id) const
 int
 Executor::pageRefCount(mem::PageId page) const
 {
-    return page_refs_.get(page);
+    // Interior pages are never counted: one owner while mapped.
+    const std::int32_t refs = page_refs_.get(page);
+    return refs > 0 ? refs : (hm_.isMapped(page) ? 1 : 0);
+}
+
+mem::PageRun
+Executor::boundarySpan(const TensorPlacement &pl, int delta)
+{
+    // A boundary page changes state when its count leaves or reaches
+    // zero; interior pages always do.
+    const mem::PageId first = pl.firstPage();
+    const mem::PageId last = pl.endPage() - 1;
+    auto bump = [&](mem::PageId p) {
+        std::int32_t &ref = page_refs_.ref(p);
+        SENTINEL_ASSERT(ref + delta >= 0, "page %llu refcount underflow",
+                        static_cast<unsigned long long>(p));
+        ref += delta;
+        return ref == (delta > 0 ? 1 : 0);
+    };
+    const bool first_moves = bump(first);
+    const bool last_moves = last == first ? first_moves : bump(last);
+    const mem::PageId lo = first_moves ? first : first + 1;
+    const mem::PageId hi = last_moves ? last + 1 : last;
+    return { lo, hi > lo ? hi - lo : 0 };
 }
 
 void
@@ -124,27 +147,15 @@ Executor::allocateTensor(TensorId id)
     AllocDecision dec = policy_.allocate(*this, t);
 
     TensorPlacement pl{ dec.addr, t.bytes };
-    // Map freshly-referenced pages as maximal contiguous runs: one
-    // reservation/insert batch per run instead of one per page.
-    mem::PageId run_start = mem::kInvalidPage;
-    auto flush = [&](mem::PageId end_excl) {
-        if (run_start == mem::kInvalidPage)
-            return;
-        std::uint64_t n = end_excl - run_start;
-        hm_.mapRange(run_start, n, dec.preferred);
+    // Live placements own their interior pages (their byte ranges are
+    // disjoint), so only the end pages can already be mapped: map the
+    // span between them as one run.
+    const mem::PageRun span = boundarySpan(pl, +1);
+    if (span.count > 0) {
+        hm_.mapRange(span.first, span.count, dec.preferred);
         if (tracker_)
-            tracker_->trackRange(run_start, n);
-        run_start = mem::kInvalidPage;
-    };
-    for (mem::PageId p = pl.firstPage(); p < pl.endPage(); ++p) {
-        if (++page_refs_.ref(p) == 1) {
-            if (run_start == mem::kInvalidPage)
-                run_start = p;
-        } else {
-            flush(p);
-        }
+            tracker_->trackRange(span.first, span.count);
     }
-    flush(pl.endPage());
     placements_[id] = pl;
     live_[id] = 1;
     notePeakFastUsage();
@@ -159,28 +170,13 @@ Executor::freeTensor(TensorId id)
     SENTINEL_ASSERT(isAllocated(id), "freeing unallocated tensor %u", id);
     TensorPlacement pl = placements_[id];
     policy_.onTensorFreed(*this, id, pl);
-    mem::PageId run_start = mem::kInvalidPage;
-    auto flush = [&](mem::PageId end_excl) {
-        if (run_start == mem::kInvalidPage)
-            return;
-        std::uint64_t n = end_excl - run_start;
+    const mem::PageRun span = boundarySpan(pl, -1);
+    if (span.count > 0) {
+        policy_.onRangeUnmapped(*this, span);
         if (tracker_)
-            tracker_->untrackRange(run_start, n);
-        hm_.unmapRange(run_start, n, now_);
-        run_start = mem::kInvalidPage;
-    };
-    for (mem::PageId p = pl.firstPage(); p < pl.endPage(); ++p) {
-        std::int32_t &ref = page_refs_.ref(p);
-        SENTINEL_ASSERT(ref > 0, "page refcount underflow");
-        if (--ref == 0) {
-            policy_.onPageUnmapped(*this, p);
-            if (run_start == mem::kInvalidPage)
-                run_start = p;
-        } else {
-            flush(p);
-        }
+            tracker_->untrackRange(span.first, span.count);
+        hm_.unmapRange(span.first, span.count, now_);
     }
-    flush(pl.endPage());
     live_[id] = 0;
 }
 

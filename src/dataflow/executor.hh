@@ -4,8 +4,11 @@
  *
  * Runs a Graph against a HeterogeneousMemory under a MemoryPolicy,
  * producing per-step statistics.  It owns the simulated clock, the
- * tensor -> placement table, and page reference counting (multiple
- * tensors may share a page; the page lives while any of them does).
+ * tensor -> placement table, and page reference counting (tensors may
+ * share a page; the page lives while any of them does).  Live
+ * placements' byte ranges are disjoint, so only a placement's first and
+ * last page can be shared: allocation and free count those two pages
+ * and map or unmap the span between them as one run.
  *
  * Each tensor use is walked as maximal page runs: the policy's
  * onRangeAccess() resolves a prefix of the placement into segments,
@@ -72,7 +75,11 @@ class Executor
     bool isAllocated(TensorId id) const;
     /** Placement of a live tensor (panics if not allocated). */
     const TensorPlacement &placementOf(TensorId id) const;
-    /** Number of live tensors overlapping @p page (0 if unmapped). */
+    /**
+     * Number of live tensors overlapping @p page (0 if unmapped).  Only
+     * a placement's end pages can be shared, so only they are counted;
+     * a mapped interior page has its one owner.
+     */
     int pageRefCount(mem::PageId page) const;
 
     // --- Time charging (policy hooks use these) -----------------------------
@@ -137,6 +144,13 @@ class Executor
 
     void allocateTensor(TensorId id);
     void freeTensor(TensorId id);
+    /**
+     * Add @p delta (+1 or -1) to the refcounts of @p pl's end pages and
+     * return the span of its pages that changes mapped state: every
+     * interior page, plus each end page whose count reached 1 (alloc)
+     * or 0 (free).
+     */
+    mem::PageRun boundarySpan(const TensorPlacement &pl, int delta);
     void execOp(const Operation &op);
     void execUseRanges(const TensorUse &use, const TensorPlacement &pl,
                        UseTraffic tr, TensorKind kind, Tick *mem_total);
@@ -164,8 +178,9 @@ class Executor
     std::uint64_t demoted_at_step_start_ = 0;
 
     // Dense tensor tables indexed by TensorId (graph ids are compact),
-    // and a chunked page directory for refcounts: the executor's own
-    // bookkeeping is hash-free and allocation-free in steady state.
+    // and a chunked page directory for boundary-page refcounts: the
+    // executor's own bookkeeping is hash-free and allocation-free in
+    // steady state.
     std::vector<TensorPlacement> placements_;
     std::vector<std::uint8_t> live_;
     mem::PageDirectory<std::int32_t> page_refs_;

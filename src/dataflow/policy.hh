@@ -103,8 +103,13 @@ class MemoryPolicy
     {
     }
 
-    /** The last tensor on @p page was freed; the page is unmapping. */
-    virtual void onPageUnmapped(Executor &, mem::PageId) {}
+    /**
+     * The pages of @p run lost their last tensor and are unmapping:
+     * one call per freed span (a tensor's interior pages plus any end
+     * page it no longer shares), made before the pages leave the page
+     * table.
+     */
+    virtual void onRangeUnmapped(Executor &, mem::PageRun) {}
 
     // --- Access ------------------------------------------------------------
 

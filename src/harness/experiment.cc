@@ -91,8 +91,8 @@ knownPolicy(const std::string &name)
            std::count(gpu.begin(), gpu.end(), name);
 }
 
-/** Construct a policy validate() accepted; @p db is non-null when
- *  needsProfile(name). */
+} // namespace
+
 std::unique_ptr<df::MemoryPolicy>
 makePolicy(const std::string &name, const ExperimentConfig &cfg,
            std::uint64_t fast_bytes, const prof::ProfileDatabase *db)
@@ -129,6 +129,8 @@ makePolicy(const std::string &name, const ExperimentConfig &cfg,
         opts.layout_planner = core::LayoutPlanner::Interval;
     return std::make_unique<core::SentinelPolicy>(*db, opts);
 }
+
+namespace {
 
 /** validate(), then build the model.  A name that cannot build
  *  (unknown, or a malformed synthetic:/llm: spec) is a rejected input,

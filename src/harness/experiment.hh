@@ -212,6 +212,16 @@ const std::vector<std::string> &cpuPolicies();
 const std::vector<std::string> &gpuPolicies();
 
 /**
+ * Construct @p name as @p cfg configures it, for a fast tier of
+ * @p fast_bytes.  @p name must have passed validate(); @p db is the
+ * profile and must be non-null for profile-driven policies (autotm,
+ * swapadvisor, capuchin, sentinel).
+ */
+std::unique_ptr<df::MemoryPolicy>
+makePolicy(const std::string &name, const ExperimentConfig &cfg,
+           std::uint64_t fast_bytes, const prof::ProfileDatabase *db);
+
+/**
  * Throw ConfigError unless @p policy under @p cfg passes every
  * precondition decidable before the model is built (policy name,
  * batch, steps/warmup, planner, tier knobs, Sentinel's pool fraction,

@@ -3,30 +3,21 @@
 namespace sentinel::mem {
 
 void
-AccessTracker::track(PageId page)
-{
-    pages_.ref(page).tracked = true;
-}
-
-void
 AccessTracker::trackRange(PageId first, std::uint64_t count)
 {
-    for (std::uint64_t i = 0; i < count; ++i)
-        pages_.ref(first + i).tracked = true;
-}
-
-void
-AccessTracker::untrack(PageId page)
-{
-    if (pages_.find(page))
-        pages_.ref(page).tracked = false;
+    pages_.forRange(first, count, [](PageTrackState *s, std::uint64_t n) {
+        for (std::uint64_t i = 0; i < n; ++i)
+            s[i].tracked = true;
+    }, /*create=*/true);
 }
 
 void
 AccessTracker::untrackRange(PageId first, std::uint64_t count)
 {
-    for (std::uint64_t i = 0; i < count; ++i)
-        untrack(first + i);
+    pages_.forRange(first, count, [](PageTrackState *s, std::uint64_t n) {
+        for (std::uint64_t i = 0; i < n; ++i)
+            s[i].tracked = false;
+    });
 }
 
 bool
@@ -43,14 +34,15 @@ AccessTracker::onAccess(PageId first, std::uint64_t n, bool is_write,
     if (count == 0)
         return 0;
     std::uint64_t faults = 0;
-    for (PageId page = first; page < first + n; ++page) {
-        const PageTrackState *s = pages_.find(page);
-        if (!s || !s->tracked)
-            continue;
-        PageAccessCounts &c = pages_.ref(page).counts;
-        (is_write ? c.writes : c.reads) += count;
-        faults += count;
-    }
+    pages_.forRange(first, n, [&](PageTrackState *s, std::uint64_t k) {
+        for (std::uint64_t i = 0; i < k; ++i) {
+            if (!s[i].tracked)
+                continue;
+            PageAccessCounts &c = s[i].counts;
+            (is_write ? c.writes : c.reads) += count;
+            faults += count;
+        }
+    });
     total_faults_ += faults;
     return fault_cost_ * static_cast<Tick>(faults);
 }

@@ -14,7 +14,8 @@
  * per-observation Tick cost the executor charges to the profiling step.
  * The executor reports accesses a page run at a time (one call per run
  * it accounts); state lives in a chunked PageDirectory rather than a
- * hash map, so each page of a run costs two loads.
+ * hash map, walked one chunk piece at a time, so a run costs one
+ * directory lookup per chunk it spans.
  */
 
 #ifndef SENTINEL_MEM_ACCESS_TRACKER_HH
@@ -56,16 +57,10 @@ class AccessTracker
     {
     }
 
-    /** Begin tracking @p page (poison its PTE). */
-    void track(PageId page);
-
-    /** Begin tracking [first, first+count). */
+    /** Begin tracking [first, first+count) (poison their PTEs). */
     void trackRange(PageId first, std::uint64_t count);
 
-    /** Stop tracking @p page (counts are retained). */
-    void untrack(PageId page);
-
-    /** Stop tracking [first, first+count). */
+    /** Stop tracking [first, first+count) (counts are retained). */
     void untrackRange(PageId first, std::uint64_t count);
 
     bool isTracked(PageId page) const;

@@ -269,7 +269,7 @@ HeterogeneousMemory::migratePages(std::span<const PageRun> runs, Tier dst,
             const unsigned dir = d < src ? 0 : 1;
             sim::ArrivalCurve arrivals =
                 submitLegs(src, d, ready, take, startup_paid);
-            table_.beginMigrationRun(run, take, dst);
+            table_.beginMigrationRun(run, take, rs.tier, dst);
             addRun({ run, take, 0, src, d, arrivals });
 
             if (dir_bytes[dir] == 0)
@@ -393,7 +393,7 @@ HeterogeneousMemory::teleportPage(PageId page, Tier dst, Tick now)
     if (!tier(dst).tryReserve(kPageSize))
         return false;
     // Instant flip: a begin and a commit, with no transfer to wait on.
-    table_.beginMigrationRun(page, 1, dst);
+    table_.beginMigrationRun(page, 1, rs.tier, dst);
     table_.commitMigrationRun(page, 1, rs.tier, dst);
     tier(rs.tier).release(kPageSize);
     return true;

@@ -76,6 +76,27 @@ class PageDirectory
         return p ? *p : T{};
     }
 
+    /**
+     * Call @p f(slots, n) once per chunk-sized piece of
+     * [first, first+count), in ascending page order: @p slots points at
+     * the piece's first slot and holds @p n of them.  Pieces in chunks
+     * never touched are skipped, unless @p create allocates them.
+     */
+    template <typename F>
+    void
+    forRange(PageId first, std::uint64_t count, F &&f, bool create = false)
+    {
+        while (count > 0) {
+            const std::uint64_t n =
+                std::min(count, kChunkPages - (first & kChunkMask));
+            T *slots = create ? &ref(first) : const_cast<T *>(find(first));
+            if (slots)
+                f(slots, n);
+            first += n;
+            count -= n;
+        }
+    }
+
     /** Drop all values.  O(1): chunks are recycled lazily. */
     void
     clear()

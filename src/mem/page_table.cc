@@ -30,6 +30,33 @@ PageTable::chunkFor(PageId page)
     return ch;
 }
 
+namespace {
+
+/** Length of the prefix of s[0, n) whose bytes, masked by @p mask,
+ *  equal @p v: eight state bytes per compare, countr_zero picking the
+ *  first mismatch (every range check and run scan funnels through
+ *  here). */
+std::uint64_t
+samePrefix(const std::uint8_t *s, std::uint64_t n, std::uint8_t v,
+           std::uint8_t mask = 0xFF)
+{
+    const std::uint64_t pat = 0x0101010101010101ull * v;
+    const std::uint64_t m = 0x0101010101010101ull * mask;
+    std::uint64_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+        std::uint64_t w;
+        std::memcpy(&w, s + i, 8);
+        if ((w & m) != pat)
+            return i + static_cast<std::uint64_t>(
+                           std::countr_zero((w & m) ^ pat)) / 8;
+    }
+    while (i < n && (s[i] & mask) == v)
+        ++i;
+    return i;
+}
+
+} // namespace
+
 template <typename Fn>
 void
 PageTable::forEachPiece(PageId first, std::uint64_t count, const char *what,
@@ -38,9 +65,9 @@ PageTable::forEachPiece(PageId first, std::uint64_t count, const char *what,
     PageId p = first;
     std::uint64_t left = count;
     while (left > 0) {
-        SENTINEL_ASSERT(findChunk(p), "%s of unmapped page %llu", what,
-                        static_cast<unsigned long long>(p));
-        Chunk &ch = chunks_[p >> kChunkBits];
+        SENTINEL_ASSERT(!what || findChunk(p), "%s of unmapped page %llu",
+                        what, static_cast<unsigned long long>(p));
+        Chunk &ch = what ? chunks_[p >> kChunkBits] : chunkFor(p);
         const std::uint64_t off = p & kChunkMask;
         const std::uint64_t n =
             std::min<std::uint64_t>(left, kChunkPages - off);
@@ -54,25 +81,16 @@ void
 PageTable::mapRange(PageId first, std::uint64_t count, Tier tier)
 {
     const std::uint8_t val = stateByte(tier, false);
-    PageId p = first;
-    std::uint64_t left = count;
-    while (left > 0) {
-        Chunk &ch = chunkFor(p);
-        std::uint64_t off = p & kChunkMask;
-        std::uint64_t in_chunk = std::min<std::uint64_t>(left,
-                                                         kChunkPages - off);
-        std::uint8_t *s = ch.state.get() + off;
-        for (std::uint64_t i = 0; i < in_chunk; ++i)
-            SENTINEL_ASSERT(s[i] == kStateUnmapped,
-                            "page %llu already mapped",
-                            static_cast<unsigned long long>(p + i));
-        std::memset(s, val, in_chunk);
-        ch.mapped += static_cast<std::uint32_t>(in_chunk);
-        ch.tiers[tierIndex(tier)] += static_cast<std::uint32_t>(in_chunk);
-        num_mapped_ += in_chunk;
-        p += in_chunk;
-        left -= in_chunk;
-    }
+    forEachPiece(first, count, nullptr,
+                 [&](Chunk &ch, PageId p, std::uint8_t *s, std::uint64_t n) {
+        const std::uint64_t ok = samePrefix(s, n, kStateUnmapped);
+        SENTINEL_ASSERT(ok == n, "page %llu already mapped",
+                        static_cast<unsigned long long>(p + ok));
+        std::memset(s, val, n);
+        ch.mapped += static_cast<std::uint32_t>(n);
+        ch.tiers[tierIndex(tier)] += static_cast<std::uint32_t>(n);
+        num_mapped_ += n;
+    });
 }
 
 TierPages
@@ -81,14 +99,20 @@ PageTable::unmapRange(PageId first, std::uint64_t count)
     TierPages freed{};
     forEachPiece(first, count, "unmap",
                  [&](Chunk &ch, PageId p, std::uint8_t *s, std::uint64_t n) {
+        // Count the piece one run of equal state bytes at a time, then
+        // apply: a piece holding an unmapped page is refused untouched.
         std::uint32_t tiers[kMaxTiers] = {};
         std::uint32_t inflight = 0;
-        for (std::uint64_t i = 0; i < n; ++i) {
-            SENTINEL_ASSERT(s[i] != kStateUnmapped,
+        for (std::uint64_t i = 0; i < n;) {
+            const std::uint8_t v = s[i];
+            SENTINEL_ASSERT(v != kStateUnmapped,
                             "unmap of unmapped page %llu",
                             static_cast<unsigned long long>(p + i));
-            ++tiers[s[i] & kStateTierMask];
-            inflight += (s[i] & kStateFlightBit) ? 1 : 0;
+            const auto k =
+                static_cast<std::uint32_t>(samePrefix(s + i, n - i, v));
+            tiers[v & kStateTierMask] += k;
+            inflight += flightOf(v) ? k : 0;
+            i += k;
         }
         std::memset(s, kStateUnmapped, n);
         ch.mapped -= static_cast<std::uint32_t>(n);
@@ -118,7 +142,7 @@ PageTable::runState(PageId first, std::uint64_t count) const
     // "every mapped page matches the run state" extends the run by the
     // whole sub-range without touching the state bytes (the caller
     // guarantees the range is mapped); mixed chunks fall back to a
-    // linear byte scan.
+    // word-wide byte scan.
     const Chunk *c0 = findChunk(first);
     SENTINEL_ASSERT(c0 && c0->state[first & kChunkMask] != kStateUnmapped,
                     "runState() over unmapped page %llu",
@@ -141,27 +165,8 @@ PageTable::runState(PageId first, std::uint64_t count) const
         if (uniform) {
             rs.count += in_chunk;
         } else {
-            // Word-wide run scan: eight state bytes per compare, with
-            // countr_zero picking the first mismatching byte.  This
-            // loop is the hottest in the simulator (every extent walk
-            // funnels through it), so the byte loop only handles the
-            // tail.
             const std::uint8_t *s = c->state.get() + off;
-            const std::uint64_t pat = 0x0101010101010101ull * s0;
-            std::uint64_t i = 0;
-            while (i + 8 <= in_chunk) {
-                std::uint64_t w;
-                std::memcpy(&w, s + i, 8);
-                if (w != pat) {
-                    i += static_cast<std::uint64_t>(
-                             std::countr_zero(w ^ pat)) /
-                         8;
-                    break;
-                }
-                i += 8;
-            }
-            while (i < in_chunk && s[i] == s0)
-                ++i;
+            const std::uint64_t i = samePrefix(s, in_chunk, s0);
             rs.count += i;
             if (i < in_chunk) {
                 SENTINEL_ASSERT(s[i] != kStateUnmapped,
@@ -189,13 +194,16 @@ PageTable::anyInFlight(PageId first, std::uint64_t count) const
         std::uint64_t in_chunk = std::min<std::uint64_t>(left,
                                                          kChunkPages - off);
         if (c->inflight > 0) {
+            // The first flagged byte is a moving page, or an unmapped
+            // one (the marker carries the flight bit too).
             const std::uint8_t *s = c->state.get() + off;
-            for (std::uint64_t i = 0; i < in_chunk; ++i) {
+            const std::uint64_t i = samePrefix(s, in_chunk, 0,
+                                               kStateFlightBit);
+            if (i < in_chunk) {
                 SENTINEL_ASSERT(s[i] != kStateUnmapped,
                                 "anyInFlight() over unmapped page %llu",
                                 static_cast<unsigned long long>(p + i));
-                if (s[i] & kStateFlightBit)
-                    return true;
+                return true;
             }
         }
         p += in_chunk;
@@ -205,33 +213,27 @@ PageTable::anyInFlight(PageId first, std::uint64_t count) const
 }
 
 void
-PageTable::beginMigrationRun(PageId first, std::uint64_t count, Tier dest)
+PageTable::beginMigrationRun(PageId first, std::uint64_t count, Tier src,
+                             Tier dest)
 {
     SENTINEL_ASSERT(count > 0, "empty migration run");
-    const unsigned d = tierIndex(dest);
+    SENTINEL_ASSERT(src != dest, "migration of page %llu to its own tier",
+                    static_cast<unsigned long long>(first));
+    const std::uint8_t from = stateByte(src, false);
     forEachPiece(first, count, "migration",
                  [&](Chunk &ch, PageId p, std::uint8_t *s, std::uint64_t n) {
-        // Check the piece, then flag it: one branch-free pass each.
-        // The unmapped marker carries the flight bit, so it fails too.
-        bool bad = false;
-        for (std::uint64_t i = 0; i < n; ++i)
-            bad |= ((s[i] & kStateFlightBit) != 0) |
-                   ((s[i] & kStateTierMask) == d);
-        if (bad) {
-            for (std::uint64_t i = 0; i < n; ++i) {
-                SENTINEL_ASSERT(s[i] != kStateUnmapped,
-                                "migration of unmapped page %llu",
-                                static_cast<unsigned long long>(p + i));
-                SENTINEL_ASSERT(!flightOf(s[i]),
-                                "page %llu is already migrating",
-                                static_cast<unsigned long long>(p + i));
-                SENTINEL_ASSERT(tierOf(s[i]) != dest,
-                                "migration of page %llu to its own tier",
-                                static_cast<unsigned long long>(p + i));
-            }
-        }
-        for (std::uint64_t i = 0; i < n; ++i)
-            s[i] |= kStateFlightBit;
+        // Check the piece, then flag it with one fill.  The unmapped
+        // marker carries the flight bit, so it never matches.
+        const std::uint64_t ok = samePrefix(s, n, from);
+        const std::uint8_t v = ok < n ? s[ok] : from;
+        const auto bad = static_cast<unsigned long long>(p + ok);
+        SENTINEL_ASSERT(v != kStateUnmapped,
+                        "migration of unmapped page %llu", bad);
+        SENTINEL_ASSERT(!flightOf(v), "page %llu is already migrating", bad);
+        SENTINEL_ASSERT(v == from,
+                        "migration of page %llu, which is not resident in "
+                        "tier %u", bad, tierIndex(src));
+        std::memset(s, stateByte(src, true), n);
         ch.inflight += static_cast<std::uint32_t>(n);
         num_inflight_ += n;
     });
@@ -245,17 +247,12 @@ PageTable::commitMigrationRun(PageId first, std::uint64_t count, Tier src,
     const std::uint8_t to = stateByte(dest, false);
     forEachPiece(first, count, "commit",
                  [&](Chunk &ch, PageId p, std::uint8_t *s, std::uint64_t n) {
-        bool bad = false;
-        for (std::uint64_t i = 0; i < n; ++i)
-            bad |= s[i] != from;
-        if (bad) {
-            for (std::uint64_t i = 0; i < n; ++i)
-                SENTINEL_ASSERT(s[i] == from,
-                                "commit of page %llu, which is not in "
-                                "flight out of tier %u",
-                                static_cast<unsigned long long>(p + i),
-                                tierIndex(src));
-        }
+        const std::uint64_t ok = samePrefix(s, n, from);
+        SENTINEL_ASSERT(ok == n,
+                        "commit of page %llu, which is not in flight out "
+                        "of tier %u",
+                        static_cast<unsigned long long>(p + ok),
+                        tierIndex(src));
         std::memset(s, to, n);
         ch.tiers[tierIndex(src)] -= static_cast<std::uint32_t>(n);
         ch.tiers[tierIndex(dest)] += static_cast<std::uint32_t>(n);

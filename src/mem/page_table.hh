@@ -11,8 +11,9 @@
  *
  * The table is struct-of-arrays chunks.  The state of a page (tier +
  * in-flight bit) is ONE byte in a per-chunk state array, so lookups
- * are two loads, range walks are byte scans, and beginning or
- * committing a migration run is a byte fill.  Each chunk also carries
+ * are two loads, range walks and range checks compare eight state
+ * bytes at a time, and beginning or committing a migration run is a
+ * byte fill.  Each chunk also carries
  * summary counters (mapped / per-tier / in-flight page counts), which
  * answer the dominant runState() query — "is this whole range
  * uniform?" — in O(chunks) instead of O(pages).  Mapped-ness is
@@ -76,10 +77,12 @@ class PageTable
     bool anyInFlight(PageId first, std::uint64_t count) const;
 
     /**
-     * Mark [first, first+count) as migrating to @p dest.  Every page
-     * must be mapped, idle, and resident away from @p dest.
+     * Mark [first, first+count) as migrating out of @p src toward
+     * @p dest (src != dest).  Every page must be mapped, idle, and
+     * resident in @p src.
      */
-    void beginMigrationRun(PageId first, std::uint64_t count, Tier dest);
+    void beginMigrationRun(PageId first, std::uint64_t count, Tier src,
+                           Tier dest);
 
     /**
      * Land [first, first+count) in @p dest.  Every page must be mapped
@@ -158,9 +161,10 @@ class PageTable
     Chunk &chunkFor(PageId page);
 
     /**
-     * Call @p fn(chunk, state, n) for each chunk-sized piece of
-     * [first, first+count), every piece inside a live chunk; @p what
-     * names the operation in the unmapped-page assert.
+     * Call @p fn(chunk, first_page, state, n) for each chunk-sized
+     * piece of [first, first+count).  @p what names the operation in
+     * the assert that every piece lies in a live chunk; null (mapping)
+     * allocates missing chunks instead.
      */
     template <typename Fn>
     void forEachPiece(PageId first, std::uint64_t count, const char *what,

@@ -1,3 +1,9 @@
+#include <algorithm>
+#include <cstdint>
+#include <stdexcept>
+#include <string>
+#include <vector>
+
 #include <gtest/gtest.h>
 
 #include "baselines/reference.hh"
@@ -221,6 +227,172 @@ TEST(Executor, LargerBatchGraphTakesLonger)
     Executor a(g, hm1, ExecParams{}, *pa);
     Executor b(g, hm2, ExecParams{}, *pb);
     EXPECT_LT(a.runStep().step_time, b.runStep().step_time);
+}
+
+/** One tensor's scripted byte range. */
+struct Span {
+    mem::VirtAddr addr;
+    std::uint64_t bytes;
+};
+
+/**
+ * Tensor i spans @p spans[i] and is used by ops 0..@p death[i], one op
+ * per layer: all are born at op 0 (in id order) and tensor i is freed
+ * at the end of layer death[i].
+ */
+Graph
+lifetimeGraph(const std::vector<Span> &spans, const std::vector<int> &death)
+{
+    Graph g("lifetimes", 1);
+    for (std::size_t i = 0; i < spans.size(); ++i)
+        g.addTensor("t" + std::to_string(i), spans[i].bytes,
+                    TensorKind::Activation);
+    const int layers = *std::max_element(death.begin(), death.end()) + 1;
+    for (int l = 0; l < layers; ++l) {
+        std::vector<TensorUse> uses;
+        for (std::size_t i = 0; i < spans.size(); ++i)
+            if (death[i] >= l)
+                uses.push_back(TensorUse{ static_cast<TensorId>(i), l == 0,
+                                          spans[i].bytes, 1.0 });
+        g.addOp("op" + std::to_string(l), OpType::Other, l, 1e6, uses);
+    }
+    g.finalize();
+    return g;
+}
+
+/**
+ * Every page's refcount, mapping, and the fast tier's usage must match
+ * what the live placements imply: a page is mapped iff a live tensor
+ * touches it, and its count is the number that do.
+ */
+void
+expectPagesMatchLive(Executor &ex, mem::PageId end_page)
+{
+    std::uint64_t mapped = 0;
+    for (mem::PageId p = 0; p < end_page; ++p) {
+        int live = 0;
+        for (TensorId id = 0; id < ex.graph().numTensors(); ++id) {
+            if (!ex.isAllocated(id))
+                continue;
+            const TensorPlacement &pl = ex.placementOf(id);
+            live += p >= pl.firstPage() && p < pl.endPage() ? 1 : 0;
+        }
+        EXPECT_EQ(ex.pageRefCount(p), live) << "page " << p;
+        EXPECT_EQ(ex.hm().isMapped(p), live > 0) << "page " << p;
+        mapped += live > 0 ? 1 : 0;
+    }
+    EXPECT_EQ(ex.hm().tier(mem::Tier::Fast).used(), mapped * mem::kPageSize);
+}
+
+/**
+ * Places tensor i at @p spans[i] in fast memory and checks the page
+ * state after every allocation and at every layer end (after that
+ * layer's frees).
+ */
+class ScriptedPolicy : public MemoryPolicy
+{
+  public:
+    ScriptedPolicy(std::vector<Span> spans, mem::PageId end_page)
+        : spans_(std::move(spans)), end_page_(end_page)
+    {
+    }
+
+    std::string name() const override { return "scripted"; }
+
+    AllocDecision
+    allocate(Executor &, const TensorDesc &t) override
+    {
+        return { spans_[t.id].addr, mem::Tier::Fast };
+    }
+
+    void
+    onTensorAllocated(Executor &ex, TensorId, const TensorPlacement &) override
+    {
+        check(ex);
+    }
+
+    void onLayerEnd(Executor &ex, int) override { check(ex); }
+
+    int checks = 0;
+
+  private:
+    void
+    check(Executor &ex)
+    {
+        expectPagesMatchLive(ex, end_page_);
+        ++checks;
+    }
+
+    std::vector<Span> spans_;
+    mem::PageId end_page_;
+};
+
+/** Run @p spans through every free order, two steps each. */
+void
+expectRefcountsInEveryFreeOrder(const std::vector<Span> &spans)
+{
+    mem::PageId end_page = 0;
+    for (const Span &s : spans)
+        end_page = std::max(end_page, mem::pageCeil(s.addr + s.bytes) + 1);
+    std::vector<int> death(spans.size());
+    for (std::size_t i = 0; i < death.size(); ++i)
+        death[i] = static_cast<int>(i); // FIFO first; LIFO comes last
+    do {
+        SCOPED_TRACE(::testing::Message()
+                     << "death layers " << ::testing::PrintToString(death));
+        Graph g = lifetimeGraph(spans, death);
+        auto hm = makeHm();
+        ScriptedPolicy policy(spans, end_page);
+        Executor ex(g, hm, ExecParams{}, policy);
+        ex.run(2);
+        EXPECT_EQ(policy.checks, 2 * 2 * static_cast<int>(spans.size()));
+        EXPECT_EQ(hm.tier(mem::Tier::Fast).used(), 0u);
+    } while (std::next_permutation(death.begin(), death.end()));
+}
+
+constexpr std::uint64_t kPage = mem::kPageSize;
+
+TEST(ExecutorRefcount, ThreeTensorsOnOnePage)
+{
+    expectRefcountsInEveryFreeOrder(
+        { { 0, 1000 }, { 1000, 1000 }, { 2000, 1000 } });
+}
+
+TEST(ExecutorRefcount, OnePageTensorInsideASharedPage)
+{
+    // Page 1 holds the end of t0, all of t1, and the start of t2.
+    expectRefcountsInEveryFreeOrder({ { 0, kPage + 100 },
+                                      { kPage + 100, 100 },
+                                      { kPage + 200, 2 * kPage - 200 } });
+}
+
+TEST(ExecutorRefcount, MultiPageTensorWithBothEndPagesShared)
+{
+    // t1 spans pages 1-3 and shares page 1 with t0, page 3 with t2;
+    // freeing it first unmaps page 2 alone.
+    expectRefcountsInEveryFreeOrder({ { 0, kPage + 10 },
+                                      { kPage + 10, 3 * kPage - 20 },
+                                      { 4 * kPage - 10, kPage + 10 } });
+}
+
+TEST(ExecutorRefcount, OverlappingPlacementFailsInMapRange)
+{
+    // t1 starts inside t0's interior page 1, which t0 owns outright:
+    // the page table's "already mapped" check must refuse it rather
+    // than let a boundary count miss the overlap.
+    const std::vector<Span> spans{ { 0, 3 * kPage }, { kPage + 100, 100 } };
+    Graph g = lifetimeGraph(spans, { 0, 0 });
+    auto hm = makeHm();
+    ScriptedPolicy policy(spans, 4);
+    Executor ex(g, hm, ExecParams{}, policy);
+    try {
+        ex.runStep();
+        FAIL() << "overlapping placement went unnoticed";
+    } catch (const std::logic_error &e) {
+        EXPECT_NE(std::string(e.what()).find("page 1 already mapped"),
+                  std::string::npos)
+            << e.what();
+    }
 }
 
 } // namespace

@@ -8,7 +8,7 @@ namespace {
 TEST(AccessTracker, CountsOnlyTrackedPages)
 {
     AccessTracker t(/*fault_cost=*/1000);
-    t.track(1);
+    t.trackRange(1, 1);
 
     EXPECT_EQ(t.onAccess(1, 1, false, 1), 1000);
     EXPECT_EQ(t.onAccess(2, 1, false, 1), 0); // untracked: no fault, no count
@@ -19,7 +19,7 @@ TEST(AccessTracker, CountsOnlyTrackedPages)
 TEST(AccessTracker, ReadsAndWritesSeparate)
 {
     AccessTracker t;
-    t.track(7);
+    t.trackRange(7, 1);
     t.onAccess(7, 1, false, 3);
     t.onAccess(7, 1, true, 2);
     EXPECT_EQ(t.counts(7).reads, 3u);
@@ -30,7 +30,7 @@ TEST(AccessTracker, ReadsAndWritesSeparate)
 TEST(AccessTracker, FaultCostScalesWithCount)
 {
     AccessTracker t(500);
-    t.track(1);
+    t.trackRange(1, 1);
     EXPECT_EQ(t.onAccess(1, 1, false, 10), 5000);
     EXPECT_EQ(t.totalFaults(), 10u);
 }
@@ -42,7 +42,7 @@ TEST(AccessTracker, RunCountsEachTrackedPage)
     AccessTracker run(100), pages(100);
     for (AccessTracker *t : { &run, &pages }) {
         t->trackRange(10, 3);
-        t->track(15);
+        t->trackRange(15, 1);
     }
     EXPECT_EQ(run.onAccess(9, 8, true, 2), 4 * 2 * 100);
     Tick per_page = 0;
@@ -60,9 +60,9 @@ TEST(AccessTracker, RunCountsEachTrackedPage)
 TEST(AccessTracker, UntrackStopsCountingButKeepsCounts)
 {
     AccessTracker t;
-    t.track(4);
+    t.trackRange(4, 1);
     t.onAccess(4, 1, false, 1);
-    t.untrack(4);
+    t.untrackRange(4, 1);
     EXPECT_EQ(t.onAccess(4, 1, false, 1), 0);
     EXPECT_EQ(t.counts(4).reads, 1u); // profile data preserved
 }
@@ -70,7 +70,7 @@ TEST(AccessTracker, UntrackStopsCountingButKeepsCounts)
 TEST(AccessTracker, ZeroCountIsFree)
 {
     AccessTracker t;
-    t.track(1);
+    t.trackRange(1, 1);
     EXPECT_EQ(t.onAccess(1, 1, true, 0), 0);
     EXPECT_EQ(t.counts(1).total(), 0u);
 }
@@ -78,7 +78,7 @@ TEST(AccessTracker, ZeroCountIsFree)
 TEST(AccessTracker, ResetClearsEverything)
 {
     AccessTracker t;
-    t.track(1);
+    t.trackRange(1, 1);
     t.onAccess(1, 1, false, 1);
     t.reset();
     EXPECT_FALSE(t.isTracked(1));

@@ -1,3 +1,7 @@
+#include <cctype>
+#include <stdexcept>
+#include <string>
+
 #include <gtest/gtest.h>
 
 #include "mem/page_table.hh"
@@ -36,7 +40,7 @@ TEST(PageTable, MigrationLifecycle)
 {
     PageTable pt;
     pt.mapRange(3, 1, Tier::Slow);
-    pt.beginMigrationRun(3, 1, Tier::Fast);
+    pt.beginMigrationRun(3, 1, Tier::Slow, Tier::Fast);
     EXPECT_TRUE(pt.runState(3, 1).in_flight);
     EXPECT_EQ(pt.runState(3, 1).tier, Tier::Slow);
     EXPECT_EQ(pt.numInFlight(), 1u);
@@ -54,7 +58,7 @@ TEST(PageTable, CommitRequiresPagesInFlightOutOfSource)
     // Not migrating at all.
     EXPECT_THROW(pt.commitMigrationRun(0, 1, Tier::Slow, Tier::Fast),
                  std::logic_error);
-    pt.beginMigrationRun(0, 3, Tier::Fast);
+    pt.beginMigrationRun(0, 3, Tier::Slow, Tier::Fast);
     // Wrong source tier.
     EXPECT_THROW(pt.commitMigrationRun(0, 3, Tier::Fast, Tier::Slow),
                  std::logic_error);
@@ -80,15 +84,17 @@ TEST(PageTable, DoubleMigrationPanics)
 {
     PageTable pt;
     pt.mapRange(1, 1, Tier::Slow);
-    pt.beginMigrationRun(1, 1, Tier::Fast);
-    EXPECT_THROW(pt.beginMigrationRun(1, 1, Tier::Fast), std::logic_error);
+    pt.beginMigrationRun(1, 1, Tier::Slow, Tier::Fast);
+    EXPECT_THROW(pt.beginMigrationRun(1, 1, Tier::Slow, Tier::Fast),
+                 std::logic_error);
 }
 
 TEST(PageTable, SameTierMigrationPanics)
 {
     PageTable pt;
     pt.mapRange(1, 1, Tier::Slow);
-    EXPECT_THROW(pt.beginMigrationRun(1, 1, Tier::Slow), std::logic_error);
+    EXPECT_THROW(pt.beginMigrationRun(1, 1, Tier::Slow, Tier::Slow),
+                 std::logic_error);
 }
 
 TEST(PageTable, FailedBeginLeavesThePieceIdle)
@@ -97,9 +103,11 @@ TEST(PageTable, FailedBeginLeavesThePieceIdle)
     // page of it is flagged.
     PageTable pt;
     pt.mapRange(0, 8, Tier::Slow);
-    pt.beginMigrationRun(7, 1, Tier::Fast);
-    EXPECT_THROW(pt.beginMigrationRun(0, 8, Tier::Fast), std::logic_error);
-    EXPECT_THROW(pt.beginMigrationRun(5, 4, Tier::Fast), std::logic_error);
+    pt.beginMigrationRun(7, 1, Tier::Slow, Tier::Fast);
+    EXPECT_THROW(pt.beginMigrationRun(0, 8, Tier::Slow, Tier::Fast),
+                 std::logic_error);
+    EXPECT_THROW(pt.beginMigrationRun(5, 4, Tier::Slow, Tier::Fast),
+                 std::logic_error);
     EXPECT_EQ(pt.numInFlight(), 1u);
     EXPECT_FALSE(pt.anyInFlight(0, 7));
 }
@@ -127,7 +135,7 @@ TEST(PageTable, UnmapRangeReportsPagesPerSourceTier)
     pt.mapRange(5, 3, makeTier(2));
     pt.mapRange(8, 4, Tier::Slow);
     // In-flight pages count at the tier they are leaving.
-    pt.beginMigrationRun(9, 2, Tier::Fast);
+    pt.beginMigrationRun(9, 2, Tier::Slow, Tier::Fast);
     TierPages freed = pt.unmapRange(2, 9);
     EXPECT_EQ(freed[0], 3u);
     EXPECT_EQ(freed[1], 3u);
@@ -155,7 +163,7 @@ TEST(PageTable, RunStateFindsUniformPrefix)
     EXPECT_EQ(rs.count, 5u);
 
     // An in-flight page splits the run even within one tier.
-    pt.beginMigrationRun(17, 1, Tier::Fast);
+    pt.beginMigrationRun(17, 1, Tier::Slow, Tier::Fast);
     rs = pt.runState(15, 5);
     EXPECT_EQ(rs.tier, Tier::Slow);
     EXPECT_FALSE(rs.in_flight);
@@ -170,7 +178,7 @@ TEST(PageTable, AnyInFlight)
     PageTable pt;
     pt.mapRange(0, 8, Tier::Slow);
     EXPECT_FALSE(pt.anyInFlight(0, 8));
-    pt.beginMigrationRun(6, 1, Tier::Fast);
+    pt.beginMigrationRun(6, 1, Tier::Slow, Tier::Fast);
     EXPECT_TRUE(pt.anyInFlight(0, 8));
     EXPECT_FALSE(pt.anyInFlight(0, 6));
     EXPECT_TRUE(pt.anyInFlight(6, 1));
@@ -208,12 +216,12 @@ TEST(PageTable, RangeAcrossChunkBoundary)
     PageRunState rs = pt.runState(seam - 8, 16);
     EXPECT_EQ(rs.count, 16u);
     EXPECT_EQ(rs.tier, Tier::Fast);
-    pt.beginMigrationRun(seam, 1, Tier::Slow);
+    pt.beginMigrationRun(seam, 1, Tier::Fast, Tier::Slow);
     EXPECT_TRUE(pt.anyInFlight(seam - 8, 16));
     rs = pt.runState(seam - 8, 16);
     EXPECT_EQ(rs.count, 8u);
     // Runs that straddle the seam begin and land as one.
-    pt.beginMigrationRun(seam - 4, 4, Tier::Slow);
+    pt.beginMigrationRun(seam - 4, 4, Tier::Fast, Tier::Slow);
     pt.commitMigrationRun(seam - 4, 5, Tier::Fast, Tier::Slow);
     rs = pt.runState(seam - 8, 16);
     EXPECT_EQ(rs.count, 4u);
@@ -229,7 +237,7 @@ TEST(PageTable, ClearForgetsEverything)
 {
     PageTable pt;
     pt.mapRange(40, 10, Tier::Fast);
-    pt.beginMigrationRun(44, 1, Tier::Slow);
+    pt.beginMigrationRun(44, 1, Tier::Fast, Tier::Slow);
     pt.clear();
     EXPECT_EQ(pt.numMapped(), 0u);
     EXPECT_EQ(pt.numInFlight(), 0u);
@@ -257,6 +265,92 @@ TEST(PageTable, RepeatedClearCycles)
         EXPECT_FALSE(pt.isMapped(0));
         EXPECT_FALSE(pt.isMapped(1ull << 20));
     }
+}
+
+/** @p op must panic with a message naming page @p bad. */
+template <typename Op>
+void
+expectRefusalNames(PageId bad, Op &&op)
+{
+    SCOPED_TRACE(::testing::Message() << "bad page " << bad);
+    try {
+        op();
+        ADD_FAILURE() << "not refused";
+    } catch (const std::logic_error &e) {
+        const std::string msg = e.what();
+        const std::string want = "page " + std::to_string(bad);
+        const std::size_t at = msg.find(want);
+        ASSERT_NE(at, std::string::npos) << msg;
+        const std::size_t next = at + want.size();
+        EXPECT_TRUE(next == msg.size() ||
+                    !std::isdigit(static_cast<unsigned char>(msg[next])))
+            << msg;
+    }
+}
+
+/**
+ * One bad page at every position of a 29-page range (three full
+ * eight-byte words plus a ragged tail, so each word offset 0-7 is hit)
+ * must be the page each range op names when it refuses.  @p first
+ * sets where the range sits relative to a chunk seam.
+ */
+void
+expectEveryBadPageNamed(PageId first)
+{
+    constexpr std::uint64_t n = 29;
+    for (PageId bad = first; bad < first + n; ++bad) {
+        // mapRange over one page that is already mapped.
+        expectRefusalNames(bad, [&] {
+            PageTable pt;
+            pt.mapRange(bad, 1, Tier::Fast);
+            pt.mapRange(first, n, Tier::Slow);
+        });
+        // unmapRange over one page that is not mapped.
+        expectRefusalNames(bad, [&] {
+            PageTable pt;
+            pt.mapRange(first, bad - first, Tier::Slow);
+            pt.mapRange(bad + 1, first + n - bad - 1, Tier::Slow);
+            pt.unmapRange(first, n);
+        });
+        // beginMigrationRun over one moving page, and over one page
+        // resident outside the run's source tier.
+        expectRefusalNames(bad, [&] {
+            PageTable pt;
+            pt.mapRange(first, n, Tier::Slow);
+            pt.beginMigrationRun(bad, 1, Tier::Slow, Tier::Fast);
+            pt.beginMigrationRun(first, n, Tier::Slow, Tier::Fast);
+        });
+        expectRefusalNames(bad, [&] {
+            PageTable pt;
+            pt.mapRange(first, bad - first, Tier::Slow);
+            pt.mapRange(bad, 1, makeTier(2));
+            pt.mapRange(bad + 1, first + n - bad - 1, Tier::Slow);
+            pt.beginMigrationRun(first, n, Tier::Slow, Tier::Fast);
+        });
+        // commitMigrationRun over one page that is not in flight.
+        expectRefusalNames(bad, [&] {
+            PageTable pt;
+            pt.mapRange(first, n, Tier::Slow);
+            if (bad > first)
+                pt.beginMigrationRun(first, bad - first, Tier::Slow,
+                                     Tier::Fast);
+            if (bad + 1 < first + n)
+                pt.beginMigrationRun(bad + 1, first + n - bad - 1,
+                                     Tier::Slow, Tier::Fast);
+            pt.commitMigrationRun(first, n, Tier::Slow, Tier::Fast);
+        });
+    }
+}
+
+TEST(PageTable, RefusalNamesTheBadPageAtEveryWordOffset)
+{
+    expectEveryBadPageNamed(1000);
+}
+
+TEST(PageTable, RefusalNamesTheBadPageAcrossAChunkSeam)
+{
+    // 13 pages before the seam (a word and a 5-page tail), 16 after.
+    expectEveryBadPageNamed((1ull << 16) - 13);
 }
 
 } // namespace

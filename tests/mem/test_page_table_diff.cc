@@ -5,7 +5,8 @@
  *
  * A seeded op generator drives both tables with the same sequence of
  * every public operation — range map, range unmap (in flight or not),
- * migration run begin and commit, clear — over two page windows that
+ * migration run begin and commit, clear — with run lengths that often
+ * end in a partial eight-page word, over two page windows that
  * each straddle a 2^16-page chunk seam (one low, one at a sparse
  * 2^32-page base).  Commits land random sub-runs of in-flight pages at
  * random destinations; misuses (a begin over a moving page, a commit
@@ -43,6 +44,9 @@ enum Op { kMapRange, kUnmapRange, kBeginRun, kCommitRun, kMisuse, kClear,
 struct Coverage {
     std::uint64_t ops[kNumOps] = {};
     std::uint64_t straddling = 0;      ///< range ops crossing a chunk seam
+    /** Range ops longer than a word whose length is no multiple of 8:
+     *  the word-wide checks then end in a byte tail. */
+    std::uint64_t ragged = 0;
     std::uint64_t inflight_unmaps = 0; ///< unmaps freeing moving pages
 };
 
@@ -89,6 +93,9 @@ class DiffCampaign
     std::uint64_t
     randomLen()
     {
+        // One draw in four is a few words plus a 1-7 page tail.
+        if (uniform(4) == 0)
+            return 8 * (1 + uniform(6)) + 1 + uniform(7);
         return 1 + (uniform(8) == 0 ? uniform(1500) : uniform(300));
     }
 
@@ -122,6 +129,8 @@ class DiffCampaign
     {
         if (straddles(first, count))
             ++cov.straddling;
+        if (count > 8 && count % 8 != 0)
+            ++cov.ragged;
         last_first_ = first;
         last_count_ = count;
     }
@@ -156,8 +165,7 @@ class DiffCampaign
                 ASSERT_EQ(a[t], b[t]) << "unmapRange(" << p << ", " << n
                                       << ") tier " << t;
             ++cov.ops[kUnmapRange];
-            if (straddles(p, n))
-                ++cov.straddling;
+            noteRange(cov, p, n);
         } else if (op < 640) { // beginMigrationRun over an idle prefix
             std::uint64_t n = extent(p, randomLen(), true);
             if (n == 0)
@@ -166,8 +174,8 @@ class DiffCampaign
             if (rs.in_flight)
                 return;
             Tier dest = otherTier(rs.tier);
-            pt_.beginMigrationRun(p, rs.count, dest);
-            ref_.beginMigrationRun(p, rs.count, dest);
+            pt_.beginMigrationRun(p, rs.count, rs.tier, dest);
+            ref_.beginMigrationRun(p, rs.count, rs.tier, dest);
             ++cov.ops[kBeginRun];
             noteRange(cov, p, rs.count);
         } else if (op < 900) { // commitMigrationRun over a moving prefix
@@ -204,7 +212,8 @@ class DiffCampaign
                 PageRunState next = ref_.runState(p + rs.count, 1);
                 if (!next.in_flight)
                     return; // a tier change alone is a legal begin
-                EXPECT_THROW(pt_.beginMigrationRun(p, n, otherTier(rs.tier)),
+                EXPECT_THROW(pt_.beginMigrationRun(p, n, rs.tier,
+                                                   otherTier(rs.tier)),
                              std::logic_error);
             }
             ++cov.ops[kMisuse];
@@ -296,6 +305,7 @@ TEST(PageTableDiff, MatchesReferenceOverSeededOpSequences)
     for (int op = 0; op < kNumOps; ++op)
         EXPECT_GT(cov.ops[op], 0u) << "op " << op << " never ran";
     EXPECT_GT(cov.straddling, 100u);
+    EXPECT_GT(cov.ragged, 1000u);
     EXPECT_GT(cov.inflight_unmaps, 100u);
 }
 

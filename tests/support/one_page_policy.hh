@@ -14,75 +14,16 @@
 #ifndef SENTINEL_TESTS_SUPPORT_ONE_PAGE_POLICY_HH
 #define SENTINEL_TESTS_SUPPORT_ONE_PAGE_POLICY_HH
 
-#include <string>
 #include <vector>
 
-#include "dataflow/policy.hh"
+#include "support/forwarding_policy.hh"
 
 namespace sentinel::testing {
 
-class OnePagePolicy : public df::MemoryPolicy
+class OnePagePolicy : public ForwardingPolicy
 {
   public:
-    explicit OnePagePolicy(df::MemoryPolicy &inner) : inner_(inner) {}
-
-    std::string name() const override { return inner_.name(); }
-
-    void
-    onTrainingStart(df::Executor &ex) override
-    {
-        inner_.onTrainingStart(ex);
-    }
-
-    void
-    onStepBegin(df::Executor &ex, int step) override
-    {
-        inner_.onStepBegin(ex, step);
-    }
-
-    void
-    onStepEnd(df::Executor &ex, int step) override
-    {
-        inner_.onStepEnd(ex, step);
-    }
-
-    void
-    onLayerBegin(df::Executor &ex, int layer) override
-    {
-        inner_.onLayerBegin(ex, layer);
-    }
-
-    void
-    onLayerEnd(df::Executor &ex, int layer) override
-    {
-        inner_.onLayerEnd(ex, layer);
-    }
-
-    df::AllocDecision
-    allocate(df::Executor &ex, const df::TensorDesc &tensor) override
-    {
-        return inner_.allocate(ex, tensor);
-    }
-
-    void
-    onTensorAllocated(df::Executor &ex, df::TensorId id,
-                      const df::TensorPlacement &pl) override
-    {
-        inner_.onTensorAllocated(ex, id, pl);
-    }
-
-    void
-    onTensorFreed(df::Executor &ex, df::TensorId id,
-                  const df::TensorPlacement &pl) override
-    {
-        inner_.onTensorFreed(ex, id, pl);
-    }
-
-    void
-    onPageUnmapped(df::Executor &ex, mem::PageId page) override
-    {
-        inner_.onPageUnmapped(ex, page);
-    }
+    using ForwardingPolicy::ForwardingPolicy;
 
     void
     onRangeAccess(df::Executor &ex, mem::PageRun run, bool is_write,
@@ -91,15 +32,6 @@ class OnePagePolicy : public df::MemoryPolicy
         inner_.onRangeAccess(ex, mem::PageRun{ run.first, 1 }, is_write,
                              out);
     }
-
-    bool
-    stallForInflight(df::Executor &ex, mem::PageId page) override
-    {
-        return inner_.stallForInflight(ex, page);
-    }
-
-  private:
-    df::MemoryPolicy &inner_;
 };
 
 } // namespace sentinel::testing

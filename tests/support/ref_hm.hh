@@ -195,7 +195,7 @@ class RefHm
                 else
                     for (unsigned l = src; l < d; ++l)
                         leg(links_[l].down, 1u << (2 * l + 1));
-                table_.beginMigrationRun(p, 1, dst);
+                table_.beginMigrationRun(p, 1, e.tier, dst);
                 pending_[p] = { t, e.tier, dst, next_run_ };
                 if (d < src) {
                     stats_.promoted_bytes += mem::kPageSize;
@@ -221,7 +221,7 @@ class RefHm
             return true;
         if (!tiers_[mem::tierIndex(dst)].tryReserve(mem::kPageSize))
             return false;
-        table_.beginMigrationRun(page, 1, dst);
+        table_.beginMigrationRun(page, 1, e.tier, dst);
         table_.commitMigrationRun(page, 1, e.tier, dst);
         release(e.tier);
         return true;

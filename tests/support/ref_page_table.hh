@@ -80,14 +80,17 @@ class RefPageTable
     }
 
     void
-    beginMigrationRun(PageId first, std::uint64_t count, Tier dest)
+    beginMigrationRun(PageId first, std::uint64_t count, Tier src,
+                      Tier dest)
     {
         SENTINEL_ASSERT(count > 0, "empty migration run");
+        SENTINEL_ASSERT(src != dest, "migration to the same tier");
         for (std::uint64_t i = 0; i < count; ++i) {
             Entry &e = at(first + i);
             SENTINEL_ASSERT(!e.in_flight, "page %llu is already migrating",
                             static_cast<unsigned long long>(first + i));
-            SENTINEL_ASSERT(e.tier != dest, "migration to the same tier");
+            SENTINEL_ASSERT(e.tier == src, "page %llu is not in its source",
+                            static_cast<unsigned long long>(first + i));
             e.in_flight = true;
             ++num_inflight_;
         }

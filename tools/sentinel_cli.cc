@@ -42,9 +42,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <initializer_list>
 #include <iostream>
 #include <map>
 #include <optional>
+#include <set>
+#include <span>
 #include <sstream>
 #include <string>
 #include <type_traits>
@@ -72,7 +75,19 @@ using namespace sentinel;
 
 namespace {
 
-/** Tiny --key value / --key=value parser; unknown keys are fatal. */
+/** Keys configFrom() reads: the experiment options of every command
+ *  that assembles a run. */
+constexpr const char *kConfigKeys[] = {
+    "model", "batch", "platform", "fraction", "mem-mb", "tiers",
+    "mid-capacity", "mid-bw", "steps", "warmup", "mil", "planner",
+    "chaos", "chaos-seed",
+};
+
+/**
+ * Tiny --key value / --key=value parser.  Each command declares the
+ * keys it accepts before reading any; a key outside that set is a
+ * ConfigError naming it, so a typo never runs a different experiment.
+ */
 class Args
 {
   public:
@@ -96,9 +111,26 @@ class Args
         }
     }
 
+    /**
+     * Declare that @p cmd accepts the keys in @p shared and @p own, and
+     * reject any other key given.
+     */
+    void
+    accept(const char *cmd, std::span<const char *const> shared,
+           std::initializer_list<const char *> own)
+    {
+        accepted_.insert(shared.begin(), shared.end());
+        accepted_.insert(own.begin(), own.end());
+        for (const auto &[key, value] : values_)
+            if (!accepted_.count(key))
+                throw harness::ConfigError(strprintf(
+                    "unknown option --%s for '%s'", key.c_str(), cmd));
+    }
+
     std::string
     get(const std::string &key, const std::string &dflt) const
     {
+        declared(key);
         auto it = values_.find(key);
         return it == values_.end() ? dflt : it->second;
     }
@@ -106,6 +138,7 @@ class Args
     bool
     has(const std::string &key) const
     {
+        declared(key);
         return values_.find(key) != values_.end();
     }
 
@@ -142,6 +175,14 @@ class Args
     }
 
   private:
+    /** Reading a key the command did not declare is a bug in it. */
+    void
+    declared(const std::string &key) const
+    {
+        SENTINEL_ASSERT(accepted_.count(key),
+                        "option --%s read but not declared", key.c_str());
+    }
+
     /**
      * The whole value of --key as a T, or @p dflt when the key is
      * absent.  Empty input, trailing garbage ("8abc"), and overflow
@@ -151,6 +192,7 @@ class Args
     T
     number(const std::string &key, T dflt) const
     {
+        declared(key);
         auto it = values_.find(key);
         if (it == values_.end())
             return dflt;
@@ -172,6 +214,7 @@ class Args
     }
 
     std::map<std::string, std::string> values_;
+    std::set<std::string> accepted_;
 };
 
 harness::ExperimentConfig
@@ -244,8 +287,10 @@ graphLabeler(const df::Graph &g)
 }
 
 int
-cmdRun(const Args &args)
+cmdRun(Args &args)
 {
+    args.accept("run", kConfigKeys,
+                { "policy", "trace-out", "metrics-out", "ring-capacity" });
     harness::ExperimentConfig cfg = configFrom(args);
     std::string policy = args.get("policy", "sentinel");
     std::string trace_out = args.get("trace-out", "");
@@ -295,8 +340,11 @@ cmdRun(const Args &args)
 }
 
 int
-cmdReport(const Args &args)
+cmdReport(Args &args)
 {
+    args.accept("report", kConfigKeys,
+                { "policy", "report-out", "trace-out", "tensor", "top",
+                  "jobs", "ring-capacity" });
     harness::ExperimentConfig cfg = configFrom(args);
     std::string policy = args.get("policy", "sentinel");
     std::string report_out = args.get("report-out", "");
@@ -372,8 +420,9 @@ cmdReport(const Args &args)
 }
 
 int
-cmdCompare(const Args &args)
+cmdCompare(Args &args)
 {
+    args.accept("compare", kConfigKeys, { "jobs" });
     harness::ExperimentConfig cfg = configFrom(args);
     int jobs = args.getInt("jobs", 1);
     const auto &policies = cfg.platform == harness::Platform::Gpu
@@ -404,8 +453,9 @@ requireHealthyTwoTier(const char *cmd, const harness::ExperimentConfig &cfg)
 }
 
 int
-cmdPlan(const Args &args)
+cmdPlan(Args &args)
 {
+    args.accept("plan", kConfigKeys, { "solver", "top" });
     harness::ExperimentConfig cfg = configFrom(args);
     requireHealthyTwoTier("plan", cfg);
     df::Graph g = models::makeModel(cfg.model, cfg.batch);
@@ -499,8 +549,10 @@ cmdPlan(const Args &args)
 }
 
 int
-cmdMaxBatch(const Args &args)
+cmdMaxBatch(Args &args)
 {
+    args.accept("maxbatch", {},
+                { "model", "policy", "mem-mb", "cap", "jobs" });
     std::string model = args.get("model", "resnet32");
     std::string policy = args.get("policy", "sentinel");
     int mem_mb = args.getInt("mem-mb", 0);
@@ -522,8 +574,9 @@ cmdMaxBatch(const Args &args)
 }
 
 int
-cmdProfile(const Args &args)
+cmdProfile(Args &args)
 {
+    args.accept("profile", kConfigKeys, { "out", "in" });
     harness::ExperimentConfig cfg = configFrom(args);
     requireHealthyTwoTier("profile", cfg);
     std::string out = args.get("out", "");
@@ -595,8 +648,9 @@ faultLabel(const sim::FaultEvent &ev)
 }
 
 int
-cmdChaos(const Args &args)
+cmdChaos(Args &args)
 {
+    args.accept("chaos", kConfigKeys, {});
     harness::ExperimentConfig cfg = configFrom(args);
     if (cfg.chaos.empty())
         cfg.chaos = "bw:step=6,factor=0.4";
@@ -680,8 +734,12 @@ cmdChaos(const Args &args)
 }
 
 int
-cmdReplay(const std::string &file, const Args &args)
+cmdReplay(Args &args, const char *file_arg)
 {
+    args.accept("replay", {}, { "file", "jobs", "determinism" });
+    const std::string file = file_arg ? file_arg : args.get("file", "");
+    if (file.empty())
+        SENTINEL_FATAL("replay needs a .sentinelrepro file");
     harness::FuzzCase fc = harness::FuzzCase::load(file);
     int jobs = args.getInt("jobs", 1);
     bool det = args.getInt("determinism", 1) != 0;
@@ -691,8 +749,14 @@ cmdReplay(const std::string &file, const Args &args)
 }
 
 int
-cmdServe(const Args &args)
+cmdServe(Args &args)
 {
+    args.accept("serve", {},
+                { "platform", "node-mb", "headroom", "boost", "jobs",
+                  "steps", "warmup", "colo", "mix", "seed", "oracle",
+                  "scrape-out", "listen", "obs", "slo-target",
+                  "slo-budget", "burn-threshold", "burn-window",
+                  "scrape-every", "listen-count" });
     server::ServerConfig cfg;
     cfg.platform = args.platform();
     cfg.fast_bytes =
@@ -797,8 +861,9 @@ cmdServe(const Args &args)
 }
 
 int
-cmdTop(const Args &args)
+cmdTop(Args &args)
 {
+    args.accept("top", {}, { "endpoint", "snapshot", "frame" });
     std::string endpoint = args.get("endpoint", "");
     std::string snapshot = args.get("snapshot", "");
     if (endpoint.empty() == snapshot.empty())
@@ -850,8 +915,9 @@ cmdTop(const Args &args)
 
 int
 cmdMetricsDiff(const std::string &file_a, const std::string &file_b,
-               const Args &args)
+               Args &args)
 {
+    args.accept("metrics-diff", {}, { "threshold" });
     double threshold = args.getDouble("threshold", 10.0);
     std::vector<telemetry::MetricRow> a =
         telemetry::loadMetricsDump(file_a);
@@ -929,8 +995,9 @@ cmdMetricsDiff(const std::string &file_a, const std::string &file_b,
 }
 
 int
-cmdModels()
+cmdModels(Args &args)
 {
+    args.accept("models", {}, {});
     Table t("Model zoo", { "name", "small batch", "large batch",
                            "layers", "peak (small batch)" });
     for (const auto &spec : models::modelZoo()) {
@@ -1053,15 +1120,10 @@ main(int argc, char **argv)
         if (cmd == "replay") {
             // The file rides as the first positional operand
             // (replay FILE [--jobs N]) or as --file FILE.
-            if (argc >= 3 && std::string(argv[2]).rfind("--", 0) != 0) {
-                Args rargs(argc, argv, 3);
-                return cmdReplay(argv[2], rargs);
-            }
-            Args rargs(argc, argv, 2);
-            std::string file = rargs.get("file", "");
-            if (file.empty())
-                SENTINEL_FATAL("replay needs a .sentinelrepro file");
-            return cmdReplay(file, rargs);
+            const bool positional =
+                argc >= 3 && std::string(argv[2]).rfind("--", 0) != 0;
+            Args rargs(argc, argv, positional ? 3 : 2);
+            return cmdReplay(rargs, positional ? argv[2] : nullptr);
         }
         Args args(argc, argv, 2);
         if (cmd == "run")
@@ -1083,7 +1145,7 @@ main(int argc, char **argv)
         if (cmd == "top")
             return cmdTop(args);
         if (cmd == "models")
-            return cmdModels();
+            return cmdModels(args);
     } catch (const std::exception &e) {
         std::fprintf(stderr, "error: %s\n", e.what());
         return 1;
