@@ -15,18 +15,23 @@
  *  - no lifetime knowledge: short-lived tensors' pages get promoted
  *    and then evicted pointlessly, wasting migration bandwidth;
  *  - FIFO eviction throws out hot pages, which must be re-promoted.
+ *
+ * The bookkeeping is dense and allocation-free once warm: per-page
+ * heat and active-list membership live in one PageDirectory, the
+ * active list is a reused vector with a head index, and the access
+ * hook resolves a run of below-threshold hint faults as one segment.
  */
 
 #ifndef SENTINEL_BASELINES_IAL_HH
 #define SENTINEL_BASELINES_IAL_HH
 
-#include <deque>
-#include <unordered_map>
-#include <unordered_set>
+#include <cstddef>
+#include <vector>
 
 #include "alloc/arena.hh"
 #include "dataflow/executor.hh"
 #include "dataflow/policy.hh"
+#include "mem/page_directory.hh"
 
 namespace sentinel::baselines {
 
@@ -68,23 +73,51 @@ class IalPolicy : public df::MemoryPolicy
 
     std::uint64_t promotionsRequested() const { return promotions_; }
 
+    /** Slow-memory hint faults @p page has taken since it was last
+     *  promoted or unmapped. */
+    int
+    slowTouches(mem::PageId page) const
+    {
+        return pages_.get(page).touches;
+    }
+
   private:
+    /** Per-page state; value-initialized = not tracked. */
+    struct PageState {
+        int touches = 0;      ///< slow-memory hint faults (page heat)
+        bool in_fifo = false; ///< on the active list
+    };
+
     /** Hint fault on a slow-resident, idle @p page (may promote it). */
     df::AccessSegment hintFault(df::Executor &ex, mem::PageId page);
+    /**
+     * Count one hint fault on each leading page of [first, first+count)
+     * whose count stays below the threshold; returns how many pages
+     * that covered (it stops at the first page that would reach it).
+     */
+    std::uint64_t countBelowThreshold(mem::PageId first,
+                                      std::uint64_t count);
     void evictForSpace(df::Executor &ex, std::uint64_t bytes_needed);
-    void noteFastPage(mem::PageId page);
+    void noteFastRun(mem::PageId first, std::uint64_t count);
 
     int threshold_;
     Tick hint_fault_cost_;
     Tick promote_service_;
     alloc::VirtualArena arena_;
 
-    /** FIFO active list of fast pages (front = oldest). */
-    std::deque<mem::PageId> fifo_;
-    std::unordered_set<mem::PageId> in_fifo_;
+    mem::PageDirectory<PageState> pages_;
 
-    /** Slow-memory access counts (page heat, false sharing included). */
-    std::unordered_map<mem::PageId, int> slow_touches_;
+    /**
+     * FIFO active list of fast pages: fifo_[fifo_head_] is the oldest.
+     * Unmapping a page only clears its in_fifo flag, so an entry whose
+     * page is no longer flagged is skipped when popped; a page freed
+     * and noted again before its old entry is popped is flagged once
+     * more, and that old entry is the one popped and evicted.
+     */
+    std::vector<mem::PageId> fifo_;
+    std::size_t fifo_head_ = 0;
+
+    std::vector<mem::PageRun> victims_; ///< evictForSpace scratch
 
     std::uint64_t promotions_ = 0;
 };

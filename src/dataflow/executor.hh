@@ -99,6 +99,13 @@ class Executor
 
     void setAccessTracker(mem::AccessTracker *tracker) { tracker_ = tracker; }
     void setTraceRecorder(sim::TraceRecorder *rec) { trace_ = rec; }
+    /**
+     * True while a TraceRecorder is attached.  A segment's bytes are
+     * recorded at the clock after its whole charge, so a policy whose
+     * batched charge interleaves with its pages resolves them one at
+     * a time here to keep the per-page timing the trace shows.
+     */
+    bool tracing() const { return trace_ != nullptr; }
 
     /**
      * Attach a fault injector (null detaches).  At each step's start

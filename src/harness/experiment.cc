@@ -40,16 +40,27 @@ platformConfig(Platform p, std::uint64_t fast_bytes, int tiers,
     return rc;
 }
 
+namespace {
+
+/** Throw ConfigError naming @p field unless @p v lies in
+ *  (0, kMaxFraction]; written so NaN fails too, since fractions are
+ *  cast to integers. */
+void
+checkFraction(const char *field, double v)
+{
+    if (!(v > 0.0 && v <= kMaxFraction))
+        throw ConfigError(strprintf("config: %s must lie in (0, %g] (got %g)",
+                                    field, kMaxFraction, v));
+}
+
+} // namespace
+
 std::uint64_t
 fastTierBytes(const ExperimentConfig &cfg, std::uint64_t peak_bytes)
 {
     if (cfg.fast_bytes != 0)
         return cfg.fast_bytes;
-    // Written so NaN fails too: it is cast to an integer below.
-    if (!(std::isfinite(cfg.fast_fraction) && cfg.fast_fraction > 0.0))
-        throw ConfigError(strprintf(
-            "config: fast_fraction must be finite and positive (got %g)",
-            cfg.fast_fraction));
+    checkFraction("fast_fraction", cfg.fast_fraction);
     return mem::roundUpToPages(static_cast<std::uint64_t>(
         static_cast<double>(peak_bytes) * cfg.fast_fraction));
 }
@@ -234,11 +245,8 @@ validate(const ExperimentConfig &cfg, const std::string &policy)
             "config: tiers must lie in [1, %u] (got %d)", mem::kMaxTiers,
             cfg.tiers));
     // The range checks below are written so NaN fails them too.
-    if (cfg.tiers >= 3 && cfg.mid_bytes == 0 &&
-        !(std::isfinite(cfg.mid_fraction) && cfg.mid_fraction > 0.0))
-        throw ConfigError(strprintf(
-            "config: mid_fraction must be finite and positive (got %g)",
-            cfg.mid_fraction));
+    if (cfg.tiers >= 3 && cfg.mid_bytes == 0)
+        checkFraction("mid_fraction", cfg.mid_fraction);
     if (!(std::isfinite(cfg.mid_bw) && cfg.mid_bw >= 0.0))
         throw ConfigError(strprintf(
             "config: mid_bw must be finite and non-negative (got %g)",

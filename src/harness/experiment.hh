@@ -53,6 +53,14 @@ enum class Platform {
     Gpu,    ///< V100 HBM (fast) + host memory over PCIe (slow)
 };
 
+/**
+ * Upper bound on fast_fraction and mid_fraction.  It admits every
+ * meaningful size (a fast tier larger than the peak, a middle tier
+ * several times the fast one) and keeps the fraction times a byte
+ * count far inside uint64_t.
+ */
+constexpr double kMaxFraction = 16.0;
+
 struct ExperimentConfig {
     std::string model;
     int batch = 32;
@@ -201,7 +209,7 @@ core::RuntimeConfig platformConfig(Platform p, std::uint64_t fast_bytes,
  * Fast-tier size of @p cfg for a model whose peak memory is
  * @p peak_bytes: cfg.fast_bytes when set, else cfg.fast_fraction of
  * the peak rounded up to whole pages.  Throws ConfigError when the
- * fraction is needed and is not a finite positive number.
+ * fraction is needed and does not lie in (0, kMaxFraction].
  */
 std::uint64_t fastTierBytes(const ExperimentConfig &cfg,
                             std::uint64_t peak_bytes);

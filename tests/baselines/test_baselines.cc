@@ -9,9 +9,14 @@
 #include "baselines/unified_memory.hh"
 #include "baselines/vdnn.hh"
 #include "core/runtime.hh"
+#include "harness/experiment.hh"
 #include "models/registry.hh"
 #include "profile/profiler.hh"
+#include "sim/trace.hh"
+#include "support/one_page_policy.hh"
 #include "support/test_graphs.hh"
+#include "telemetry/attribution.hh"
+#include "telemetry/session.hh"
 
 namespace sentinel::baselines {
 namespace {
@@ -66,6 +71,184 @@ TEST(Ial, HintFaultsExposeTime)
     IalPolicy policy;
     df::StepStats s = rig.steady(policy);
     EXPECT_GT(s.exposed_migration, 0);
+}
+
+TEST(Ial, StaleFifoEntryOfReallocatedPageIsTheOneEvicted)
+{
+    // Drive the hooks by hand on an idle executor over a 3-page fast
+    // tier: pages p0, p1, p2 are one-page tensors, noted in that order.
+    constexpr std::uint64_t kPage = mem::kPageSize;
+    Rig rig(3 * kPage);
+    IalPolicy policy;
+    df::Executor ex(rig.graph, rig.hm, rig.cfg.exec, policy);
+    mem::HeterogeneousMemory &hm = rig.hm;
+    const mem::PageId p0 = 100, p1 = 101, p2 = 102;
+    auto map = [&](mem::PageId p, mem::Tier tier) {
+        hm.mapRange(p, 1, tier);
+        policy.onTensorAllocated(ex, 0, df::TensorPlacement{ p * kPage,
+                                                             kPage });
+    };
+    auto unmap = [&](mem::PageId p) {
+        policy.onRangeUnmapped(ex, mem::PageRun{ p, 1 });
+        hm.unmapRange(p, 1, ex.now());
+    };
+    auto touch = [&](mem::PageId p) {
+        std::vector<df::AccessSegment> segs;
+        policy.onRangeAccess(ex, mem::PageRun{ p, 1 }, false, segs);
+    };
+    map(p0, mem::Tier::Fast);
+    map(p1, mem::Tier::Fast);
+    map(p2, mem::Tier::Fast);
+
+    // Free p0 while its entry is queued; it comes back in slow memory,
+    // gathers heat, is freed again (heat forgotten), and is re-allocated
+    // in fast memory, queued behind p2 as well.
+    unmap(p0);
+    map(p0, mem::Tier::Slow);
+    touch(p0);
+    touch(p0);
+    EXPECT_EQ(policy.slowTouches(p0), 2);
+    unmap(p0);
+    EXPECT_EQ(policy.slowTouches(p0), 0);
+    map(p0, mem::Tier::Fast);
+    EXPECT_EQ(policy.slowTouches(p0), 0);
+    touch(p0); // fast-resident: no hint fault
+    EXPECT_EQ(policy.slowTouches(p0), 0);
+    ASSERT_EQ(hm.tier(mem::Tier::Fast).free(), 0u);
+
+    // A 2-page allocation evicts from the head: p0's OLD entry (it is
+    // on the list again) and p1, in that order.
+    policy.allocate(ex, df::TensorDesc{ 0, "a", 2 * kPage,
+                                        df::TensorKind::Activation });
+    EXPECT_TRUE(hm.inFlight(p0, ex.now()));
+    EXPECT_TRUE(hm.inFlight(p1, ex.now()));
+    EXPECT_FALSE(hm.inFlight(p2, ex.now()));
+    EXPECT_LT(hm.arrivalTime(p0), hm.arrivalTime(p1));
+
+    // Next comes p2; p0's newer entry was consumed with the old one.
+    policy.allocate(ex, df::TensorDesc{ 1, "b", kPage,
+                                        df::TensorKind::Activation });
+    EXPECT_TRUE(hm.inFlight(p2, ex.now()));
+    EXPECT_LT(hm.arrivalTime(p1), hm.arrivalTime(p2));
+    EXPECT_EQ(hm.stats().demoted_pages, 3u);
+}
+
+/** One IAL run's observations, batched or through the reference. */
+struct IalObserved {
+    std::vector<df::StepStats> stats;
+    std::uint64_t promotions = 0;
+    std::uint64_t stall_events = 0; ///< Stall events in the ring
+    telemetry::Session session{ { true, 1u << 18 } };
+    telemetry::AttributionEngine attr;
+};
+
+/**
+ * Run IAL on @p cfg's model and sized chain.  The @p reference run
+ * goes through the one-page hook with a trace recorder attached, under
+ * which IAL resolves every hint fault alone through its one-page fault
+ * path: page by page, the way it did before faults were batched.
+ */
+std::unique_ptr<IalObserved>
+observeIal(const harness::ExperimentConfig &cfg, int threshold,
+           Tick hint_fault_cost, bool reference)
+{
+    auto out = std::make_unique<IalObserved>();
+    harness::Run sized(cfg, "ial"); // the model and its sized chain
+    const core::RuntimeConfig &rc = sized.platform();
+    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
+    IalPolicy ial(threshold, hint_fault_cost);
+    sentinel::testing::OnePagePolicy one_page(ial);
+    df::Executor ex(sized.graph(), hm, rc.exec,
+                    reference ? static_cast<df::MemoryPolicy &>(one_page)
+                              : ial);
+    sim::TraceRecorder trace(kMsec);
+    if (reference)
+        ex.setTraceRecorder(&trace);
+    hm.setTelemetry(&out->session);
+    ex.setTelemetry(&out->session);
+    hm.setAttribution(&out->attr);
+    ex.setAttribution(&out->attr);
+    out->stats = ex.run(cfg.steps);
+    out->promotions = ial.promotionsRequested();
+    for (const telemetry::Event &e : out->session.events().snapshot())
+        out->stall_events += e.type == telemetry::EventType::Stall;
+    return out;
+}
+
+TEST(Ial, BatchedHintFaultsMatchPerPageFaults)
+{
+    // Below-threshold hint faults batch into one segment per run; the
+    // reference resolves every fault alone, one page per hook call.
+    // Both must agree field for field, with exact attribution and a
+    // matching event stream.
+    struct Case {
+        const char *model;
+        int batch;
+        int tiers;
+        int threshold;
+        Tick hint_fault_cost;
+    };
+    const Case cases[] = {
+        { "resnet32", 8, 2, 4, 250 },
+        { "llm:tiny", 2, 3, 4, 250 },
+        { "resnet32", 8, 2, 1, 250 },
+        { "resnet32", 8, 2, 4, 0 },
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(::testing::Message()
+                     << c.model << " tiers=" << c.tiers
+                     << " threshold=" << c.threshold
+                     << " hint_fault_cost=" << c.hint_fault_cost);
+        harness::ExperimentConfig cfg;
+        cfg.model = c.model;
+        cfg.batch = c.batch;
+        cfg.tiers = c.tiers;
+        cfg.fast_fraction = 0.1; // tight: FIFO eviction runs
+        cfg.steps = 3;
+        cfg.warmup = 0;
+        auto run = observeIal(cfg, c.threshold, c.hint_fault_cost, false);
+        auto ref = observeIal(cfg, c.threshold, c.hint_fault_cost, true);
+
+        ASSERT_EQ(run->stats.size(), ref->stats.size());
+        std::uint64_t demoted = 0;
+        for (std::size_t i = 0; i < run->stats.size(); ++i) {
+            SCOPED_TRACE(::testing::Message() << "step " << i);
+            const df::StepStats &a = run->stats[i];
+            const df::StepStats &b = ref->stats[i];
+            EXPECT_EQ(a.step_time, b.step_time);
+            EXPECT_EQ(a.compute_time, b.compute_time);
+            EXPECT_EQ(a.mem_time, b.mem_time);
+            EXPECT_EQ(a.exposed_migration, b.exposed_migration);
+            EXPECT_EQ(a.fault_overhead, b.fault_overhead);
+            EXPECT_EQ(a.recompute_time, b.recompute_time);
+            EXPECT_EQ(a.policy_time, b.policy_time);
+            EXPECT_EQ(a.bytes_fast, b.bytes_fast);
+            EXPECT_EQ(a.bytes_slow, b.bytes_slow);
+            EXPECT_EQ(a.slow_bytes_by_kind, b.slow_bytes_by_kind);
+            EXPECT_EQ(a.promoted_bytes, b.promoted_bytes);
+            EXPECT_EQ(a.demoted_bytes, b.demoted_bytes);
+            EXPECT_EQ(a.peak_fast_used, b.peak_fast_used);
+            EXPECT_EQ(a.peak_tier_used, b.peak_tier_used);
+            EXPECT_EQ(a.num_stalls, b.num_stalls);
+            demoted += a.demoted_bytes;
+        }
+        EXPECT_EQ(run->promotions, ref->promotions);
+        for (const IalObserved *o : { run.get(), ref.get() }) {
+            EXPECT_EQ(o->session.events().dropped(), 0u);
+            EXPECT_TRUE(o->attr.allExact());
+            std::string why;
+            EXPECT_TRUE(o->attr.crossCheckEvents(o->session.events(), &why))
+                << why;
+        }
+
+        // Non-vacuous: pages were promoted and evicted, and (with a
+        // cost and a threshold above one) faults really were batched.
+        EXPECT_GT(run->promotions, 0u);
+        EXPECT_GT(demoted, 0u);
+        if (c.threshold > 1 && c.hint_fault_cost > 0) {
+            EXPECT_LT(run->stall_events, ref->stall_events);
+        }
+    }
 }
 
 // --------------------------------------------------------- Memory Mode

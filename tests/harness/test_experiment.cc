@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <functional>
 #include <limits>
 #include <sstream>
@@ -249,6 +250,21 @@ TEST(Harness, RejectsSubPageFastTier)
     }
 }
 
+TEST(Harness, FractionCapIsInclusive)
+{
+    ExperimentConfig cfg = smallConfig();
+    cfg.fast_fraction = kMaxFraction;
+    EXPECT_NO_THROW(runExperiment(cfg, "numa"));
+    cfg.fast_fraction = std::nextafter(kMaxFraction, 2 * kMaxFraction);
+    EXPECT_THROW(runExperiment(cfg, "numa"), ConfigError);
+    cfg = smallConfig();
+    cfg.tiers = 3;
+    cfg.mid_fraction = kMaxFraction;
+    EXPECT_NO_THROW(runExperiment(cfg, "numa"));
+    cfg.mid_fraction = std::nextafter(kMaxFraction, 2 * kMaxFraction);
+    EXPECT_THROW(runExperiment(cfg, "numa"), ConfigError);
+}
+
 TEST(Harness, RejectsNonFiniteMidTierKnobs)
 {
     ExperimentConfig cfg = smallConfig();
@@ -318,6 +334,15 @@ TEST(Harness, OracleRejectsWhatTheHarnessRejects)
         [](ExperimentConfig &c) { c.fast_bytes = mem::kPageSize; });
     add("rs_cap_fraction 1.5",
         [](ExperimentConfig &c) { c.sentinel.rs_cap_fraction = 1.5; });
+    // Above kMaxFraction: 1e30 would overflow the byte count's cast.
+    for (double v : { 1e9, 1e30, std::numeric_limits<double>::infinity() }) {
+        add("fast_fraction " + std::to_string(v),
+            [v](ExperimentConfig &c) { c.fast_fraction = v; });
+        add("mid_fraction " + std::to_string(v), [v](ExperimentConfig &c) {
+            c.tiers = 3;
+            c.mid_fraction = v;
+        });
+    }
     for (double v : kNonFinite) {
         add("fast_fraction " + std::to_string(v),
             [v](ExperimentConfig &c) { c.fast_fraction = v; });

@@ -5,8 +5,9 @@
  *
  * The hot loop's scratch buffers (the policy's migration batch and
  * prefetch ring, the executor's segment lists, the migration engine's
- * pending-run heap and index, the SoA page-table chunks) are all grown
- * during warmup and reused afterwards; this test pins that property
+ * pending-run heap and index, the SoA page-table chunks, IAL's page
+ * directory, active list and victim batch) are all grown during warmup
+ * and reused afterwards; this test pins that property
  * with the counting operator new from sentinel_alloc_hook.  Linked
  * only into this binary — see common/alloc_hook.hh for the contract.
  * Under sanitizers the hook compiles away and the test skips.
@@ -14,6 +15,7 @@
 
 #include <gtest/gtest.h>
 
+#include "baselines/ial.hh"
 #include "common/alloc_hook.hh"
 #include "core/sentinel_policy.hh"
 #include "dataflow/executor.hh"
@@ -144,6 +146,33 @@ TEST(ZeroAlloc, IntervalPlannerSentinelSteadyStateDoesNotAllocate)
     cfg.model = "resnet32";
     cfg.planner = "interval";
     EXPECT_EQ(warmStepAllocs(cfg, 20), 0u);
+}
+
+TEST(ZeroAlloc, IalSteadyStateStepDoesNotAllocate)
+{
+    if (!common::allocHookActive())
+        GTEST_SKIP() << "counting allocator not linked (sanitizer build)";
+    // resnet32 on 2 tiers with 20% fast memory: every step evicts from
+    // the active list and promotes hot pages.
+    harness::ExperimentConfig cfg;
+    cfg.model = "resnet32";
+    harness::Run sized(cfg, "ial");
+    const core::RuntimeConfig &rc = sized.platform();
+    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
+    baselines::IalPolicy policy;
+    df::Executor ex(sized.graph(), hm, rc.exec, policy);
+    ex.run(8);
+
+    const std::uint64_t promoted = policy.promotionsRequested();
+    const std::uint64_t demoted = hm.stats().demoted_pages;
+    std::uint64_t before = common::allocCount();
+    for (int i = 0; i < 20; ++i)
+        ex.runStep();
+    std::uint64_t after = common::allocCount();
+    EXPECT_EQ(after - before, 0u)
+        << (after - before) << " heap allocations across 20 warm steps";
+    EXPECT_GT(policy.promotionsRequested(), promoted);
+    EXPECT_GT(hm.stats().demoted_pages, demoted);
 }
 
 TEST(ZeroAlloc, InFlightRunTrimDoesNotAllocate)

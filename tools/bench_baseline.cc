@@ -15,9 +15,9 @@
  *  - sim.* metrics come off the simulated clock and are bit-
  *    deterministic, so any drift is a real behavior change; the
  *    threshold (25%) exists only so deliberate small retunings don't
- *    need a baseline refresh in the same commit.  The Sentinel
- *    allocs_per_step cells are the exception: a warm Sentinel step
- *    allocates nothing, so they are gated exactly (threshold 0,
+ *    need a baseline refresh in the same commit.  The
+ *    allocs_per_step cells are the exception: a warm Sentinel or IAL
+ *    step allocates nothing, so they are gated exactly (threshold 0,
  *    slack 0).
  *  - wall.* metrics time the simulator itself (min of N runs) and
  *    absorb machine noise with a much larger threshold.  Sanitizer
@@ -140,15 +140,11 @@ addCell(std::vector<Sample> &out, const std::string &model,
 {
     std::string p = "sim." + model + "." + policy + ".";
     addSimMetrics(out, p, cellConfig(model), policy);
-    // Allocation counts are deterministic in a single-threaded run.
-    // Sentinel's warm step allocates nothing, so its cells are exact;
-    // the baselines' slack absorbs their per-page container churn.
+    // Allocation counts are deterministic in a single-threaded run,
+    // and every gated policy's warm step allocates nothing: exact.
     double allocs = measureAllocsPerStep(model, policy);
-    if (allocs >= 0.0) {
-        const bool exact = policy == "sentinel";
-        out.push_back({ p + "allocs_per_step", allocs, exact ? 0.0 : 0.25,
-                        exact ? 0.0 : 5.0 });
-    }
+    if (allocs >= 0.0)
+        out.push_back({ p + "allocs_per_step", allocs, 0.0, 0.0 });
 }
 
 /** Wall time of one full experiment cell, min of @p reps runs. */
