@@ -11,12 +11,9 @@
  */
 
 #include <iostream>
-#include <memory>
 
-#include "baselines/ial.hh"
-#include "baselines/reference.hh"
 #include "bench_util.hh"
-#include "core/runtime.hh"
+#include "harness/experiment.hh"
 
 using namespace sentinel;
 
@@ -32,11 +29,10 @@ struct Row {
 
 double
 steadyMs(const df::Graph &g, const core::RuntimeConfig &cfg,
-         df::MemoryPolicy &policy)
+         const std::string &policy)
 {
-    mem::HeterogeneousMemory hm(cfg.tierChain(), cfg.linkChain());
-    df::Executor ex(g, hm, cfg.exec, policy);
-    return toMillis(ex.run(9).back().step_time);
+    harness::Run run(g, cfg, harness::ExperimentConfig{}, policy);
+    return toMillis(run.executor().run(9).back().step_time);
 }
 
 Row
@@ -45,21 +41,13 @@ runPlatform(const df::Graph &g, core::RuntimeConfig cfg,
 {
     Row r;
     cfg.fast.capacity = fast20;
-
-    auto profile = core::profileStep(g, cfg);
-
-    auto slow = baselines::makeSlowOnly();
-    r.slow_only = steadyMs(g, cfg, *slow);
-    auto numa = baselines::makeFirstTouchNuma();
-    r.numa = steadyMs(g, cfg, *numa);
-    baselines::IalPolicy ial;
-    r.ial = steadyMs(g, cfg, ial);
-    core::SentinelPolicy sentinel(profile.db);
-    r.sentinel = steadyMs(g, cfg, sentinel);
+    r.slow_only = steadyMs(g, cfg, "slow-only");
+    r.numa = steadyMs(g, cfg, "numa");
+    r.ial = steadyMs(g, cfg, "ial");
+    r.sentinel = steadyMs(g, cfg, "sentinel");
 
     cfg.fast.capacity = fast_all;
-    auto fast = baselines::makeFastOnly();
-    r.fast_only = steadyMs(g, cfg, *fast);
+    r.fast_only = steadyMs(g, cfg, "fast-only");
     return r;
 }
 

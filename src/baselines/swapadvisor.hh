@@ -28,44 +28,20 @@
 
 namespace sentinel::baselines {
 
-struct SwapAdvisorOptions {
-    int population = 12;
-    int generations = 6;
-    double mutation_rate = 0.25;
-    std::uint64_t seed = 0x5a9ad;
-    /** Modeled wall-clock cost of one fitness evaluation. */
-    Tick eval_cost = 50 * kMsec;
-
-    /**
-     * Fraction of each step consumed by the ongoing schedule search.
-     * SwapAdvisor's GA keeps simulating candidate schedules against
-     * the dataflow for ~30 minutes (Sec. VII-C); training proceeds
-     * meanwhile but shares the host with the search and synchronizes
-     * with it every step.
-     */
-    double search_overhead_fraction = 0.3;
-};
-
 class SwapAdvisorPolicy : public ScheduledSwapPolicy
 {
   public:
     SwapAdvisorPolicy(const prof::ProfileDatabase &db,
-                      bool gpu_strict = false,
-                      SwapAdvisorOptions opts = {})
+                      bool gpu_strict = false)
         : ScheduledSwapPolicy(gpu_strict ? "swapadvisor-gpu"
                                          : "swapadvisor",
                               /*sync_moves=*/false),
-          db_(db), gpu_strict_(gpu_strict), opts_(opts)
+          db_(db), gpu_strict_(gpu_strict)
     {
     }
 
     /** Modeled decision wall-clock (the "30 minutes" of the paper). */
-    Tick
-    decisionTimeEstimate() const
-    {
-        return static_cast<Tick>(opts_.population) * opts_.generations *
-               opts_.eval_cost;
-    }
+    Tick decisionTimeEstimate() const;
 
     void onStepBegin(df::Executor &ex, int step) override;
     void onStepEnd(df::Executor &ex, int step) override;
@@ -86,7 +62,6 @@ class SwapAdvisorPolicy : public ScheduledSwapPolicy
 
     const prof::ProfileDatabase &db_;
     bool gpu_strict_ = false;
-    SwapAdvisorOptions opts_;
     Tick step_begin_ = 0;
     Tick last_step_time_ = 0;
     std::vector<df::TensorId> candidates_; ///< long-lived tensors

@@ -96,7 +96,6 @@ RuntimeConfig::optane(std::uint64_t fast_bytes)
     // training kernels (far below peak AVX-512).
     cfg.exec = { 0.6e12, 2 * kUsec };
     cfg.profiler = {};
-    cfg.sentinel = {};
     return cfg;
 }
 
@@ -124,7 +123,6 @@ RuntimeConfig::gpu(std::uint64_t hbm_bytes)
     cfg.exec = { 10.0e12, 8 * kUsec };
     cfg.profiler.gpu_pinned = true;
     cfg.profiler.gpu_link_bw = 11e9;
-    cfg.sentinel.gpu_mode = true;
     return cfg;
 }
 
@@ -134,61 +132,6 @@ profileStep(const df::Graph &graph, const RuntimeConfig &rc)
     mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
     prof::Profiler profiler(rc.profiler);
     return profiler.profile(graph, hm, rc.exec);
-}
-
-Runtime::Runtime(df::Graph graph, RuntimeConfig cfg)
-    : graph_(std::move(graph)), cfg_(std::move(cfg))
-{
-    SENTINEL_ASSERT(graph_.finalized(), "graph must be finalized");
-    if (cfg_.telemetry.enabled)
-        telemetry_ = std::make_unique<telemetry::Session>(cfg_.telemetry);
-    hm_ = std::make_unique<mem::HeterogeneousMemory>(cfg_.tierChain(),
-                                                     cfg_.linkChain());
-    hm_->setTelemetry(telemetry_.get());
-}
-
-void
-Runtime::ensureProfiled()
-{
-    // The real implementation profiles the 11th step in place; here
-    // it runs on a scratch memory system (see profileStep).
-    if (!profile_)
-        profile_ = profileStep(graph_, cfg_);
-}
-
-void
-Runtime::ensureExecutor()
-{
-    ensureProfiled();
-    if (executor_)
-        return;
-    policy_ = std::make_unique<SentinelPolicy>(profile_->db,
-                                               cfg_.sentinel);
-    policy_->setTelemetry(telemetry_.get());
-    executor_ = std::make_unique<df::Executor>(graph_, *hm_, cfg_.exec,
-                                               *policy_);
-    executor_->setTelemetry(telemetry_.get());
-}
-
-const prof::ProfileResult &
-Runtime::profileResult()
-{
-    ensureProfiled();
-    return *profile_;
-}
-
-std::vector<df::StepStats>
-Runtime::train(int steps)
-{
-    ensureExecutor();
-    return executor_->run(steps);
-}
-
-const SentinelPolicy &
-Runtime::policy() const
-{
-    SENTINEL_ASSERT(policy_ != nullptr, "train() has not run yet");
-    return *policy_;
 }
 
 } // namespace sentinel::core

@@ -8,6 +8,33 @@
 
 namespace sentinel::core {
 
+namespace {
+
+/** One-time planning cost charged to the first step. */
+constexpr Tick kPlannerOverhead = 100 * kUsec;
+
+/** A step counts as divergent when its observed time exceeds
+ *  (1 + kDivergenceThreshold) x the planned step time. */
+constexpr double kDivergenceThreshold = 0.25;
+
+/** Consecutive divergent steps required before re-planning. */
+constexpr int kDivergencePatience = 2;
+
+/** Minimum steps between two re-plans (let the new plan settle). */
+constexpr int kReplanCooldown = 3;
+
+/** Hard cap on mid-training re-plans per run. */
+constexpr int kMaxReplans = 4;
+
+/** Planner cost charged to the step that triggers a re-plan. */
+constexpr Tick kReplanOverhead = 50 * kUsec;
+
+/** Re-runs of an inconclusive test-and-trial (a Case-2/Case-3
+ *  perturbation landing in exactly one of the two trial steps). */
+constexpr int kMaxTrialRetries = 2;
+
+} // namespace
+
 SentinelPolicy::SentinelPolicy(const prof::ProfileDatabase &db,
                                SentinelOptions opts)
     : db_(db), opts_(opts), packed_(kPackedBase)
@@ -287,7 +314,7 @@ SentinelPolicy::onTrainingStart(df::Executor &ex)
     packed_allocs_.assign(graph.numTensors(), kInvalidAddr);
 
     // One-time planning cost (the "quick exploration" of Sec. IV-D).
-    ex.chargePolicy(opts_.planner_overhead);
+    ex.chargePolicy(kPlannerOverhead);
 
     if (opts_.gpu_mode) {
         mode_stall_ = true;
@@ -361,12 +388,12 @@ SentinelPolicy::replan(df::Executor &ex, int step)
     ++replans_;
     last_replan_step_ = step;
     divergent_streak_ = 0;
-    ex.chargePolicy(opts_.replan_overhead);
+    ex.chargePolicy(kReplanOverhead);
     auditAppend(ex, telemetry::AuditReason::kReplanDivergence,
                 telemetry::kAuditNoTensor, 0);
     if (telemetry_) {
         telemetry_->emit(telemetry::EventType::Replan, ex.now(),
-                         opts_.replan_overhead, 0,
+                         kReplanOverhead, 0,
                          static_cast<std::uint32_t>(step));
         replan_ctr_->add(1);
     }
@@ -742,7 +769,7 @@ SentinelPolicy::onStepEnd(df::Executor &ex, int step)
         trial_ = TrialState::TrialLeave;
     } else if (trial_ == TrialState::TrialLeave) {
         if (perturb_this_step_ != trial_stall_perturb_ &&
-            trial_retries_ < opts_.max_trial_retries) {
+            trial_retries_ < kMaxTrialRetries) {
             // A Case-2/Case-3 perturbation landed in exactly one of
             // the two trial steps: the stall-vs-leave times are not
             // comparable.  Re-run the trial instead of committing to
@@ -765,7 +792,7 @@ SentinelPolicy::onStepEnd(df::Executor &ex, int step)
     Tick planned = planned_step_time_;
     if (planned <= 0)
         return;
-    double thr = opts_.divergence_threshold;
+    double thr = kDivergenceThreshold;
     bool slow_step =
         static_cast<double>(step_time) >
         static_cast<double>(planned) * (1.0 + thr);
@@ -788,9 +815,9 @@ SentinelPolicy::onStepEnd(df::Executor &ex, int step)
     }
     bool cooled =
         last_replan_step_ < 0 ||
-        step - last_replan_step_ >= opts_.replan_cooldown;
-    if (divergent_streak_ >= opts_.divergence_patience && cooled &&
-        replans_ < opts_.max_replans) {
+        step - last_replan_step_ >= kReplanCooldown;
+    if (divergent_streak_ >= kDivergencePatience && cooled &&
+        replans_ < kMaxReplans) {
         replan(ex, step);
     }
 }

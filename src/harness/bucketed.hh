@@ -10,30 +10,31 @@
  * degenerate case: a batch whose graph matches no profiled bucket
  * triggers a fresh profiling step for it.
  *
- * This facade manages one (HM, profile, policy, executor) instance per
- * bucket over a shared memory system description and dispatches steps
+ * This facade keeps one Sentinel Run (profile, policy, HM, executor)
+ * per bucket over a shared platform description and dispatches steps
  * by bucket key.
  */
 
-#ifndef SENTINEL_CORE_BUCKETED_HH
-#define SENTINEL_CORE_BUCKETED_HH
+#ifndef SENTINEL_HARNESS_BUCKETED_HH
+#define SENTINEL_HARNESS_BUCKETED_HH
 
 #include <functional>
 #include <map>
 #include <memory>
-#include <vector>
 
-#include "core/runtime.hh"
+#include "harness/experiment.hh"
 
-namespace sentinel::core {
+namespace sentinel::harness {
 
 class BucketedRuntime
 {
   public:
     /** @param make_graph builds the representative graph of a bucket
-     *         (e.g. the padded sequence length -> its step graph). */
+     *         (e.g. the padded sequence length -> its step graph).
+     *  Every bucket runs Sentinel with default options on @p platform,
+     *  in CPU mode. */
     BucketedRuntime(std::function<df::Graph(int)> make_graph,
-                    RuntimeConfig cfg, int max_buckets = 10);
+                    core::RuntimeConfig platform, int max_buckets = 10);
 
     /**
      * Run one training step whose input falls into @p bucket.  The
@@ -49,17 +50,17 @@ class BucketedRuntime
      *  paper bounds by allowing at most ten buckets). */
     int profilingSteps() const { return profiling_steps_; }
 
-    /** The per-bucket runtime (profiled on first use). */
-    Runtime &bucket(int key);
+    /** The per-bucket run (profiled on first use). */
+    Run &bucket(int key);
 
   private:
     std::function<df::Graph(int)> make_graph_;
-    RuntimeConfig cfg_;
+    core::RuntimeConfig platform_;
     int max_buckets_;
     int profiling_steps_ = 0;
-    std::map<int, std::unique_ptr<Runtime>> buckets_;
+    std::map<int, std::unique_ptr<Run>> buckets_;
 };
 
-} // namespace sentinel::core
+} // namespace sentinel::harness
 
-#endif // SENTINEL_CORE_BUCKETED_HH
+#endif // SENTINEL_HARNESS_BUCKETED_HH

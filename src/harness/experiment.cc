@@ -214,18 +214,14 @@ sizedPlatform(const ExperimentConfig &cfg, const std::string &policy,
                           cfg.mid_bw);
 }
 
-} // namespace
-
+/** The preconditions of the assembly itself: everything validate()
+ *  checks except model, batch and tier sizing. */
 void
-validate(const ExperimentConfig &cfg, const std::string &policy)
+validateAssembly(const ExperimentConfig &cfg, const std::string &policy)
 {
     if (!knownPolicy(policy))
         throw ConfigError(
             strprintf("config: unknown policy '%s'", policy.c_str()));
-    if (cfg.batch <= 0)
-        throw ConfigError(
-            strprintf("config: batch must be positive (got %d)",
-                      cfg.batch));
     if (cfg.steps <= 0)
         throw ConfigError(
             strprintf("config: steps must be positive (got %d)",
@@ -240,17 +236,7 @@ validate(const ExperimentConfig &cfg, const std::string &policy)
         throw ConfigError(strprintf(
             "config: planner must be 'greedy' or 'interval' (got '%s')",
             cfg.planner.c_str()));
-    if (cfg.tiers < 1 || cfg.tiers > static_cast<int>(mem::kMaxTiers))
-        throw ConfigError(strprintf(
-            "config: tiers must lie in [1, %u] (got %d)", mem::kMaxTiers,
-            cfg.tiers));
-    // The range checks below are written so NaN fails them too.
-    if (cfg.tiers >= 3 && cfg.mid_bytes == 0)
-        checkFraction("mid_fraction", cfg.mid_fraction);
-    if (!(std::isfinite(cfg.mid_bw) && cfg.mid_bw >= 0.0))
-        throw ConfigError(strprintf(
-            "config: mid_bw must be finite and non-negative (got %g)",
-            cfg.mid_bw));
+    // The range checks are written so NaN fails them too.
     if (policy == "sentinel" && cfg.sentinel.use_reserved_pool &&
         !(cfg.sentinel.rs_cap_fraction > 0.0 &&
           cfg.sentinel.rs_cap_fraction <= 1.0))
@@ -267,6 +253,28 @@ validate(const ExperimentConfig &cfg, const std::string &policy)
     }
 }
 
+} // namespace
+
+void
+validate(const ExperimentConfig &cfg, const std::string &policy)
+{
+    validateAssembly(cfg, policy);
+    if (cfg.batch <= 0)
+        throw ConfigError(
+            strprintf("config: batch must be positive (got %d)",
+                      cfg.batch));
+    if (cfg.tiers < 1 || cfg.tiers > static_cast<int>(mem::kMaxTiers))
+        throw ConfigError(strprintf(
+            "config: tiers must lie in [1, %u] (got %d)", mem::kMaxTiers,
+            cfg.tiers));
+    if (cfg.tiers >= 3 && cfg.mid_bytes == 0)
+        checkFraction("mid_fraction", cfg.mid_fraction);
+    if (!(std::isfinite(cfg.mid_bw) && cfg.mid_bw >= 0.0))
+        throw ConfigError(strprintf(
+            "config: mid_bw must be finite and non-negative (got %g)",
+            cfg.mid_bw));
+}
+
 Run::Run(const ExperimentConfig &cfg, const std::string &policy,
          const prof::ProfileDatabase *profile)
     : cfg_(cfg), policy_name_(policy),
@@ -280,14 +288,30 @@ Run::Run(const ExperimentConfig &cfg, const std::string &policy,
             "at batch %d",
             profile->numTensors(), profile->numLayers(),
             cfg.model.c_str(), cfg.batch));
-    if (policy == "vdnn" && !baselines::VdnnPolicy::supports(graph_))
+    assemble(profile);
+}
+
+Run::Run(df::Graph graph, core::RuntimeConfig platform,
+         const ExperimentConfig &cfg, const std::string &policy)
+    : cfg_(cfg), policy_name_(policy), graph_(std::move(graph)),
+      rc_(std::move(platform))
+{
+    validateAssembly(cfg, policy);
+    SENTINEL_ASSERT(graph_.finalized(), "graph must be finalized");
+    assemble(nullptr);
+}
+
+void
+Run::assemble(const prof::ProfileDatabase *profile)
+{
+    if (policy_name_ == "vdnn" && !baselines::VdnnPolicy::supports(graph_))
         return;
 
-    if (needsProfile(policy) && !profile) {
+    if (needsProfile(policy_name_) && !profile) {
         profile_ = core::profileStep(graph_, rc_);
         profile = &profile_->db;
     }
-    policy_ = makePolicy(policy, cfg, rc_.fast.capacity, profile);
+    policy_ = makePolicy(policy_name_, cfg_, rc_.fast.capacity, profile);
     sentinel_ = dynamic_cast<core::SentinelPolicy *>(policy_.get());
     hm_ = std::make_unique<mem::HeterogeneousMemory>(rc_.tierChain(),
                                                      rc_.linkChain());
@@ -296,25 +320,25 @@ Run::Run(const ExperimentConfig &cfg, const std::string &policy,
 
     // The profiling step above stays unobserved, so an exported
     // timeline covers one monotonic training clock.
-    if (cfg.telemetry) {
-        hm_->setTelemetry(cfg.telemetry);
-        executor_->setTelemetry(cfg.telemetry);
+    if (cfg_.telemetry) {
+        hm_->setTelemetry(cfg_.telemetry);
+        executor_->setTelemetry(cfg_.telemetry);
         if (sentinel_)
-            sentinel_->setTelemetry(cfg.telemetry);
+            sentinel_->setTelemetry(cfg_.telemetry);
     }
-    if (cfg.attribution) {
-        executor_->setAttribution(cfg.attribution);
-        hm_->setAttribution(cfg.attribution);
+    if (cfg_.attribution) {
+        executor_->setAttribution(cfg_.attribution);
+        hm_->setAttribution(cfg_.attribution);
     }
-    if (cfg.audit && sentinel_)
-        sentinel_->setAudit(cfg.audit);
+    if (cfg_.audit && sentinel_)
+        sentinel_->setAudit(cfg_.audit);
 
     // Chaos mode: the injector perturbs only the training run.  The
     // profile was taken on the healthy system, so a fault spec starting
     // at step k makes the profile stale from k onward.
-    if (!cfg.chaos.empty()) {
-        sim::FaultSpec spec = sim::FaultSpec::parse(cfg.chaos);
-        spec.seed = cfg.chaos_seed;
+    if (!cfg_.chaos.empty()) {
+        sim::FaultSpec spec = sim::FaultSpec::parse(cfg_.chaos);
+        spec.seed = cfg_.chaos_seed;
         executor_->setFaultInjector(&injector_.emplace(std::move(spec)));
     }
 }

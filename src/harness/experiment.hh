@@ -27,6 +27,7 @@
 #include <vector>
 
 #include "core/runtime.hh"
+#include "core/sentinel_policy.hh"
 #include "dataflow/graph.hh"
 #include "dataflow/step_stats.hh"
 #include "sim/fault_injector.hh"
@@ -248,15 +249,21 @@ struct StepTrace {
 };
 
 /**
- * One assembled (model, batch, platform, policy) cell.  The
- * constructor validates @p cfg, builds the model, sizes the tier chain
- * (fast-only with an unsized tier gets one that holds everything),
- * profiles one step when the policy is profile-driven, constructs the
- * policy, memory system, and executor, and attaches cfg's observers
- * and chaos injector; a rejected configuration throws ConfigError.
- * finish() trains cfg.steps steps and reduces them; callers that drive
- * the executor themselves use executor() instead.  The executor points
- * into the Run, so a Run is never copied or moved.
+ * One assembled (model, batch, platform, policy) cell, and the only
+ * place a training run is built.  The constructor validates @p cfg,
+ * builds the model, sizes the tier chain (fast-only with an unsized
+ * tier gets one that holds everything), profiles one step when the
+ * policy is profile-driven, constructs the policy, memory system, and
+ * executor, and attaches cfg's observers and chaos injector; a
+ * rejected configuration throws ConfigError.  finish() trains
+ * cfg.steps steps and reduces them; callers that drive the executor
+ * themselves use executor() instead.  The executor points into the
+ * Run, so a Run is never copied or moved.
+ *
+ *     harness::ExperimentConfig cfg;
+ *     cfg.model = "resnet32";
+ *     harness::Run run(cfg, "sentinel");
+ *     auto stats = run.executor().run(20);
  */
 class Run
 {
@@ -265,6 +272,18 @@ class Run
      *  must outlive the Run and match the model (else ConfigError). */
     Run(const ExperimentConfig &cfg, const std::string &policy,
         const prof::ProfileDatabase *profile = nullptr);
+
+    /**
+     * The same assembly over a graph the caller built and a sized
+     * platform (a preset such as RuntimeConfig::cxl, or a degraded
+     * chain).  Of @p cfg it reads only what assembly needs: platform,
+     * sentinel, planner, the observers, chaos/chaos_seed and
+     * steps/warmup; it ignores model, batch and every tier-sizing
+     * field.  finish() still labels its Metrics with cfg.model and
+     * cfg.batch and derives throughput from cfg.batch.
+     */
+    Run(df::Graph graph, core::RuntimeConfig platform,
+        const ExperimentConfig &cfg, const std::string &policy);
     Run(const Run &) = delete;
     Run &operator=(const Run &) = delete;
 
@@ -290,6 +309,10 @@ class Run
     StepTrace finish();
 
   private:
+    /** Profile (unless @p profile is given), then build the policy,
+     *  memory system and executor and attach the observers. */
+    void assemble(const prof::ProfileDatabase *profile);
+
     ExperimentConfig cfg_;
     std::string policy_name_;
     df::Graph graph_;

@@ -9,7 +9,7 @@
  * formatting — which is what keeps bench_micro's step time unchanged
  * when tracing is off.
  *
- * Sessions are externally owned (by `core::Runtime`, a bench, or a
+ * Sessions are externally owned (by the CLI, a bench, or a
  * test) and can outlive the executors they observed, so exports can
  * happen after the run tears down.
  */

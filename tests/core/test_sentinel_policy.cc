@@ -4,6 +4,7 @@
 
 #include "core/runtime.hh"
 #include "core/sentinel_policy.hh"
+#include "harness/experiment.hh"
 #include "models/registry.hh"
 #include "profile/profiler.hh"
 #include "support/test_graphs.hh"
@@ -170,15 +171,16 @@ TEST(SentinelRuntime, FacadeTrainsResnet)
 {
     df::Graph g = models::makeModel("resnet20", 4);
     std::uint64_t fast = mem::roundUpToPages(g.peakMemoryBytes() / 5);
-    Runtime rt(std::move(g), RuntimeConfig::optane(fast));
-    const prof::ProfileResult &pr = rt.profileResult();
+    harness::Run run(std::move(g), RuntimeConfig::optane(fast),
+                     harness::ExperimentConfig{}, "sentinel");
+    const prof::ProfileResult &pr = *run.profile();
     EXPECT_GT(pr.profilingSlowdown(), 1.0);
-    auto stats = rt.train(4);
+    auto stats = run.executor().run(4);
     ASSERT_EQ(stats.size(), 4u);
     EXPECT_GT(stats.back().step_time, 0);
-    EXPECT_GE(rt.policy().migrationPlan().mil, 1);
+    EXPECT_GE(run.sentinel()->migrationPlan().mil, 1);
     // Continuing training works.
-    auto more = rt.train(2);
+    auto more = run.executor().run(2);
     EXPECT_EQ(more.size(), 2u);
 }
 
@@ -187,12 +189,20 @@ TEST(SentinelRuntime, PresetsAreSane)
     auto cpu = RuntimeConfig::optane(1 << 30);
     EXPECT_GT(cpu.fast.read_bw, cpu.slow.read_bw);
     EXPECT_LT(cpu.fast.read_latency, cpu.slow.read_latency);
-    EXPECT_FALSE(cpu.sentinel.gpu_mode);
 
     auto gpu = RuntimeConfig::gpu(1 << 30);
     EXPECT_GT(gpu.fast.read_bw, gpu.slow.read_bw);
-    EXPECT_TRUE(gpu.sentinel.gpu_mode);
     EXPECT_TRUE(gpu.profiler.gpu_pinned);
+
+    // GPU mode follows the harness platform, not the preset.
+    harness::ExperimentConfig cfg;
+    cfg.model = "resnet20";
+    cfg.batch = 4;
+    harness::Run on_cpu(cfg, "sentinel");
+    EXPECT_EQ(on_cpu.sentinel()->name(), "sentinel");
+    cfg.platform = harness::Platform::Gpu;
+    harness::Run on_gpu(cfg, "sentinel");
+    EXPECT_EQ(on_gpu.sentinel()->name(), "sentinel-gpu");
 }
 
 TEST(SentinelPolicy, EvictionCandidatesProtectUpcomingPrefetches)

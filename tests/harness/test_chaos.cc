@@ -137,11 +137,8 @@ TEST(Chaos, ReplanConvergesNearFaultedProfileReference)
     rc.fast.capacity = static_cast<std::uint64_t>(
                            static_cast<double>(fast) * 0.7) /
                        mem::kPageSize * mem::kPageSize;
-    auto profile = core::profileStep(g, rc);
-    core::SentinelPolicy pol(profile.db, rc.sentinel);
-    mem::HeterogeneousMemory hm(rc.tierChain(), rc.linkChain());
-    df::Executor ex(g, hm, rc.exec, pol);
-    auto stats = ex.run(cfg.steps);
+    harness::Run faulted(std::move(g), rc, ExperimentConfig{}, "sentinel");
+    auto stats = faulted.executor().run(cfg.steps);
 
     double ref = toMillis(stats.back().step_time);
     double post = toMillis(tr.steps.back().step_time);

@@ -378,12 +378,15 @@ expectIdenticalSteps(const std::vector<df::StepStats> &a,
         EXPECT_EQ(a[i].compute_time, b[i].compute_time);
         EXPECT_EQ(a[i].mem_time, b[i].mem_time);
         EXPECT_EQ(a[i].exposed_migration, b[i].exposed_migration);
+        EXPECT_EQ(a[i].fault_overhead, b[i].fault_overhead);
+        EXPECT_EQ(a[i].recompute_time, b[i].recompute_time);
         EXPECT_EQ(a[i].policy_time, b[i].policy_time);
         EXPECT_EQ(a[i].bytes_fast, b[i].bytes_fast);
         EXPECT_EQ(a[i].bytes_slow, b[i].bytes_slow);
         EXPECT_EQ(a[i].slow_bytes_by_kind, b[i].slow_bytes_by_kind);
         EXPECT_EQ(a[i].promoted_bytes, b[i].promoted_bytes);
         EXPECT_EQ(a[i].demoted_bytes, b[i].demoted_bytes);
+        EXPECT_EQ(a[i].peak_fast_used, b[i].peak_fast_used);
         EXPECT_EQ(a[i].peak_tier_used, b[i].peak_tier_used);
         EXPECT_EQ(a[i].num_stalls, b[i].num_stalls);
     }
@@ -412,6 +415,40 @@ TEST(Harness, RunFromSavedProfileMatchesSelfProfiledRun)
     // A profile of another graph is a rejected input.
     cfg.model = "resnet32";
     EXPECT_THROW(harness::Run(cfg, "sentinel", &db), ConfigError);
+}
+
+TEST(Harness, RunFromGraphMatchesRunFromName)
+{
+    // Both constructors share one assembly body: a graph and sized
+    // platform handed in must reproduce the by-name run exactly.
+    struct Case {
+        std::string model;
+        int tiers;
+        std::string policy;
+    };
+    const Case cases[] = {
+        { "resnet32", 2, "sentinel" },
+        { "resnet32", 2, "ial" },
+        { "llm:tiny", 3, "sentinel" },
+    };
+    for (const Case &c : cases) {
+        SCOPED_TRACE(c.model + " " + std::to_string(c.tiers) + "-tier " +
+                     c.policy);
+        ExperimentConfig cfg;
+        cfg.model = c.model;
+        cfg.tiers = c.tiers;
+        harness::Run first(cfg, c.policy);
+        harness::Run second(models::makeModel(cfg.model, cfg.batch),
+                            first.platform(), cfg, c.policy);
+        EXPECT_EQ(second.platform().tierChain().size(),
+                  static_cast<std::size_t>(c.tiers));
+        StepTrace a = first.finish();
+        StepTrace b = second.finish();
+        ASSERT_EQ(a.steps.size(), static_cast<std::size_t>(cfg.steps));
+        expectIdenticalSteps(a.steps, b.steps);
+        EXPECT_EQ(a.metrics.mil, b.metrics.mil);
+        EXPECT_EQ(first.sentinel() != nullptr, c.policy == "sentinel");
+    }
 }
 
 TEST(Harness, ConfigErrorIsDistinguishableFromRunFailures)

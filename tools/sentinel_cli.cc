@@ -437,8 +437,8 @@ cmdCompare(Args &args)
 }
 
 /**
- * plan and profile build a healthy two-tier platform themselves;
- * reject the options they would otherwise silently ignore.
+ * plan and profile describe a healthy two-tier platform; reject the
+ * options they would otherwise silently ignore.
  */
 void
 requireHealthyTwoTier(const char *cmd, const harness::ExperimentConfig &cfg)
@@ -458,15 +458,13 @@ cmdPlan(Args &args)
     args.accept("plan", kConfigKeys, { "solver", "top" });
     harness::ExperimentConfig cfg = configFrom(args);
     requireHealthyTwoTier("plan", cfg);
-    df::Graph g = models::makeModel(cfg.model, cfg.batch);
-    std::uint64_t fast =
-        harness::fastTierBytes(cfg, g.peakMemoryBytes());
-    core::RuntimeConfig rc =
-        harness::platformConfig(cfg.platform, fast);
-    prof::ProfileResult profile = core::profileStep(g, rc);
+    harness::Run run(cfg, "sentinel");
+    const df::Graph &g = run.graph();
+    const core::RuntimeConfig &rc = run.platform();
+    std::uint64_t fast = rc.fast.capacity;
 
     core::PlannerInputs in;
-    in.db = &profile.db;
+    in.db = &run.profile()->db;
     in.fast_capacity = fast;
     in.promote_bw = rc.migration.promote_bw;
     in.fast_read_bw = rc.fast.read_bw;
@@ -597,10 +595,10 @@ cmdProfile(Args &args)
         return 0;
     }
 
-    df::Graph g = models::makeModel(cfg.model, cfg.batch);
-    core::RuntimeConfig rc = harness::platformConfig(
-        cfg.platform, mem::roundUpToPages(g.peakMemoryBytes() / 5));
-    prof::ProfileResult r = core::profileStep(g, rc);
+    // The profiling step never touches the fast tier, so its size
+    // (--fraction or --mem-mb) does not change the profile.
+    harness::Run run(cfg, "sentinel");
+    const prof::ProfileResult &r = *run.profile();
     std::printf("profiled %s (batch %d): %zu tensors, slowdown %.1fx, "
                 "memory overhead %.2f%%\n",
                 cfg.model.c_str(), cfg.batch, r.db.numTensors(),
